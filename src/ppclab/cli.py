@@ -207,6 +207,20 @@ def _cmd_orbit(ns) -> str:
     return points_text(orb.points, ["config " + json.dumps(cfg.block())])
 
 
+def _paircorr_result(points, s: Fraction, cfg: RunConfig, fmt: str) -> str:
+    res = pair_count(points, s)
+    if fmt == "csv":
+        return "N,statistic\n%d,%r\n" % (res.N, res.statistic)
+    return _json_payload({
+        "schema": "paircorr-result v1",
+        "N": res.N,
+        "s": float(res.s),
+        "ordered_count": res.ordered_count,
+        "statistic": res.statistic,
+        "config": cfg.block(),
+    })
+
+
 def _cmd_paircorr(ns) -> str:
     s = _positive_s(ns.s)
     if ns.infile is not None:
@@ -216,17 +230,7 @@ def _cmd_paircorr(ns) -> str:
         points = _load_points(ns.infile)
         cfg = RunConfig("paircorr", s=ns.s, format=ns.format,
                         extras=(("in", ns.infile),))
-        res = pair_count(points, s)
-        if ns.format == "csv":
-            return "N,statistic\n%d,%r\n" % (res.N, res.statistic)
-        return _json_payload({
-            "schema": "paircorr-result v1",
-            "N": res.N,
-            "s": float(res.s),
-            "ordered_count": res.ordered_count,
-            "statistic": res.statistic,
-            "config": cfg.block(),
-        })
+        return _paircorr_result(points, s, cfg, ns.format)
     if ns.family is None or ns.alpha is None:
         raise _UsageError("need --family and --alpha (or --in FILE)")
     if (ns.N is None) == (ns.N_list is None):
@@ -245,17 +249,7 @@ def _cmd_paircorr(ns) -> str:
                     format=ns.format)
     if ns.N is not None:
         orb = orbit(family, alpha, ns.N, delta)
-        res = pair_count(orb.points, s)
-        if ns.format == "csv":
-            return "N,statistic\n%d,%r\n" % (res.N, res.statistic)
-        return _json_payload({
-            "schema": "paircorr-result v1",
-            "N": res.N,
-            "s": float(res.s),
-            "ordered_count": res.ordered_count,
-            "statistic": res.statistic,
-            "config": cfg.block(),
-        })
+        return _paircorr_result(orb.points, s, cfg, ns.format)
     curve = ppc_curve(family, alpha, s, list(n_list), delta)
     if ns.format == "csv":
         lines = ["N,statistic"]

@@ -8,11 +8,9 @@ Supported families (spec strings in parentheses):
   LinearPower    (linpow)             f_n(x) = x^n            slow-growth control
   Kronecker      (kronecker)          f_n(x) = n*x            classical control
 
-The orbit walk is incremental: the running power alpha^(d_n) advances by one
-multiplication with alpha^(d_n - d_{n-1}), the gap power coming from binary
-exponentiation on the small gap exponent.  All of it runs in ball arithmetic
-at a precision sized for the largest degree and the planned multiplication
-count, so every emitted point carries a certified error bound.
+A family only supplies the exponents; the certified walk over them, and its
+precision plan, is hpreal.frac_walk, so every emitted point carries a
+certified error bound.
 """
 
 from __future__ import annotations
@@ -22,25 +20,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ppclab.hpreal import (
-    Ball,
-    ExactReal,
-    IndeterminateFrac,
-    PrecisionOverflow,
-    UnitPoint,
-    _ceil_log2_inv,
-    ball_div_exact,
-    ball_mul,
-    ball_pow,
-    ball_sub_int,
-    frac_point,
-    pow_frac,
-    required_precision,
-)
+from ppclab.hpreal import ExactReal, PrecisionOverflow, UnitPoint, frac_walk
 
 _FACTORIAL_CAP = 20
 
-_POWER_KINDS = ("monomial", "factorial", "linpow")
 _KINDS_WITH_K = ("monomial", "geomsum")
 _ALL_KINDS = ("monomial", "geomsum", "factorial", "linpow", "kronecker")
 
@@ -118,14 +101,6 @@ def _validate_delta(delta) -> Fraction:
     return d
 
 
-def _geomsum_extra_bits(alpha: ExactReal) -> int:
-    # dividing by alpha - 1 magnifies absolute error by 1/(alpha-1)
-    am1 = alpha.as_fraction() - 1
-    if am1 >= 1:
-        return 4
-    return _ceil_log2_inv(am1) + 4
-
-
 def _kronecker_frac(alpha_frac: Fraction, n: int) -> Fraction:
     return (n * alpha_frac) % 1
 
@@ -137,65 +112,22 @@ def eval_frac(family: SequenceFamily, alpha: ExactReal, n: int, delta) -> UnitPo
         raise ValueError("index must be >= 1")
     if family.kind == "kronecker":
         return UnitPoint(_kronecker_frac(alpha.as_fraction(), n), 0.0)
+    return frac_walk(alpha, [_exponent(family, n)], delta_f,
+                     geometric=family.kind == "geomsum")[0]
+
+
+def _exponent(family: SequenceFamily, n: int) -> int:
+    # geometric sum: f_n = (alpha^(d+1) - 1)/(alpha - 1), no mod-1 shortcut
+    # exists before the division, so the full power alpha^(d+1) is carried
     d = degree(family, n)
-    if family.kind in _POWER_KINDS:
-        return pow_frac(alpha, d, delta_f)
-    # geometric sum: frac((alpha^(d+1) - 1)/(alpha - 1)), no mod-1 shortcut
-    # exists before the division, so the full power is carried
-    big = d + 1
-    mults = 2 * big.bit_length() + 4
-    prec = required_precision(big, alpha.upper_float(), delta_f, mults)
-    prec += _geomsum_extra_bits(alpha)
-    am1 = ExactReal.from_fraction(alpha.as_fraction() - 1)
-    base = Ball.from_exact(alpha)
-    last: IndeterminateFrac | None = None
-    for p in (prec, 2 * prec):
-        power = ball_pow(base, big, p)
-        q = ball_div_exact(ball_sub_int(power, 1, p), am1, p)
-        try:
-            return frac_point(q, delta_f)
-        except IndeterminateFrac as e:
-            last = e
-    raise last
-
-
-def _orbit_exponents(family: SequenceFamily, N: int) -> list[int]:
-    ds = [degree(family, n) for n in range(1, N + 1)]
-    if family.kind == "geomsum":
-        return [d + 1 for d in ds]
-    return ds
-
-
-def _walk(family: SequenceFamily, alpha: ExactReal, exps: list[int],
-          prec: int, delta_f: Fraction) -> tuple[UnitPoint, ...]:
-    am1 = None
-    if family.kind == "geomsum":
-        am1 = ExactReal.from_fraction(alpha.as_fraction() - 1)
-    base = Ball.from_exact(alpha)
-    running = Ball(1, 0)
-    prev = 0
-    out: list[UnitPoint] = []
-    for i, e in enumerate(exps):
-        gap = e - prev
-        running = ball_mul(running, ball_pow(base, gap, prec), prec)
-        prev = e
-        if am1 is None:
-            target = running
-        else:
-            target = ball_div_exact(ball_sub_int(running, 1, prec), am1, prec)
-        try:
-            out.append(frac_point(target, delta_f))
-        except IndeterminateFrac as err:
-            raise IndeterminateFrac(str(err), index=i + 1) from None
-    return tuple(out)
+    return d + 1 if family.kind == "geomsum" else d
 
 
 def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
     """First N fractional parts of the family at alpha, certified to delta.
 
-    Single incremental pass: the running power is advanced by multiplying
-    alpha^(d_n - d_{n-1}); precision is fixed upfront from the final degree
-    and the total multiplication count, with one automatic doubling retry.
+    Single incremental pass of hpreal.frac_walk over the exponents of
+    f_1 .. f_N; Kronecker orbits are exact rational walks.
     """
     delta_f = _validate_delta(delta)
     if N < 1:
@@ -209,24 +141,9 @@ def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
             r = (r + step) % 1
             pts.append(UnitPoint(r, 0.0))
         return Orbit(family, alpha, delta_f, tuple(pts))
-
-    exps = _orbit_exponents(family, N)
-    mults = 2  # the trailing subtraction/division rounding slack
-    prev = 0
-    for e in exps:
-        mults += 2 * (e - prev).bit_length() + 1
-        prev = e
-    if family.kind == "geomsum":
-        mults += 2 * N
-    prec = required_precision(exps[-1], alpha.upper_float(), delta_f, mults)
-    if family.kind == "geomsum":
-        prec += _geomsum_extra_bits(alpha)
-
-    try:
-        return Orbit(family, alpha, delta_f, _walk(family, alpha, exps, prec, delta_f))
-    except IndeterminateFrac:
-        pass
-    return Orbit(family, alpha, delta_f, _walk(family, alpha, exps, 2 * prec, delta_f))
+    exps = [_exponent(family, n) for n in range(1, N + 1)]
+    points = frac_walk(alpha, exps, delta_f, geometric=family.kind == "geomsum")
+    return Orbit(family, alpha, delta_f, points)
 
 
 # ---------------------------------------------------------------------------

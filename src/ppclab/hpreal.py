@@ -13,13 +13,16 @@ Layers:
   ExactReal      -- canonical dyadic rational (odd mantissa * 2^exp)
   Ball           -- midpoint/radius enclosure at a given working precision
   UnitPoint      -- a point of [0,1) with a certified circle-metric error
-  pow_frac       -- frac(alpha^d) via binary exponentiation in ball arithmetic
+  frac_walk      -- frac(alpha^e) along increasing exponents, one ball walk
+  pow_frac       -- frac(alpha^d), the one-exponent walk
 
-Precision policy: required_precision() sizes the working mantissa from the
-degree, an upper bound on alpha, the target tolerance and the planned number
-of ball multiplications.  If the final enclosure is still wider than the
-tolerance, the engine retries exactly once at doubled precision and then
-raises IndeterminateFrac.
+Precision policy: frac_walk is the one planner.  It counts the ball
+multiplications of its walk and calls required_precision() once, which sizes
+the working mantissa from the last exponent, an upper bound on alpha, the
+target tolerance and that count, and rejects plans above PREC_BUDGET_BITS
+before any multiplication.  If an enclosure is still wider than the
+tolerance, the walk is retried exactly once at doubled precision, and then
+IndeterminateFrac is raised.
 """
 
 from __future__ import annotations
@@ -35,8 +38,13 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
         return x
 
 
+# Largest working precision a plan may ask for: 2^30 mantissa bits, 128 MiB
+# per operand.  The largest plan any test or workload uses is ~3.6 Mbit.
+PREC_BUDGET_BITS = 1 << 30
+
+
 class PrecisionOverflow(Exception):
-    """The requested computation exceeds the precision budget (bit count > 2^62)."""
+    """The planned working precision exceeds PREC_BUDGET_BITS mantissa bits."""
 
 
 class IndeterminateFrac(Exception):
@@ -223,7 +231,8 @@ def required_precision(d: int, alpha_upper, delta, mults: int) -> int:
 
     ceil(d*log2(alpha_upper)) covers the integer part, ceil(log2(1/delta)) the
     target resolution, ceil(log2(mults+1)) the accumulated per-multiplication
-    rounding, plus 16 guard bits.
+    rounding, plus 16 guard bits.  Raises PrecisionOverflow when the total
+    exceeds PREC_BUDGET_BITS.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -235,17 +244,17 @@ def required_precision(d: int, alpha_upper, delta, mults: int) -> int:
     delta_f = Fraction(delta)
     if not 0 < delta_f < 1:
         raise ValueError("delta must lie in (0, 1)")
-    magnitude = d * math.log2(au)
-    if magnitude > 2.0**62:
+    try:
+        magnitude = math.ceil(d * math.log2(au))
+    except OverflowError:  # d beyond the float range
+        magnitude = math.inf
+    prec = magnitude + _ceil_log2_inv(delta_f) + mults.bit_length() + 16
+    if prec > PREC_BUDGET_BITS:
         raise PrecisionOverflow(
-            "degree %d at alpha_upper %g needs %g mantissa bits" % (d, au, magnitude)
+            "degree %d at alpha_upper %g needs %g mantissa bits (budget %d)"
+            % (d, au, prec, PREC_BUDGET_BITS)
         )
-    return (
-        math.ceil(magnitude)
-        + _ceil_log2_inv(delta_f)
-        + mults.bit_length()
-        + 16
-    )
+    return prec
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +448,70 @@ def frac_point(ball: Ball, delta) -> UnitPoint:
     return UnitPoint(value, err)
 
 
-def pow_frac(alpha: ExactReal, d: int, delta) -> UnitPoint:
-    """frac(alpha^d) with certified error <= delta.
+def _walk(base: Ball, exps, am1: ExactReal | None, prec: int,
+          delta_f: Fraction) -> tuple[UnitPoint, ...]:
+    running = Ball(1, 0)
+    prev = 0
+    out: list[UnitPoint] = []
+    for i, e in enumerate(exps):
+        running = ball_mul(running, ball_pow(base, e - prev, prec), prec)
+        prev = e
+        if am1 is None:
+            target = running
+        else:
+            target = ball_div_exact(ball_sub_int(running, 1, prec), am1, prec)
+        try:
+            out.append(frac_point(target, delta_f))
+        except IndeterminateFrac as err:
+            raise IndeterminateFrac(str(err), index=i + 1) from None
+    return tuple(out)
 
-    Binary exponentiation in ball arithmetic at required_precision bits; one
-    automatic retry at doubled precision before IndeterminateFrac.
+
+def frac_walk(alpha: ExactReal, exps, delta,
+              geometric: bool = False) -> tuple[UnitPoint, ...]:
+    """frac(alpha^e) for each e of a strictly increasing exponent list.
+
+    With `geometric` the points are frac((alpha^e - 1)/(alpha - 1)) instead,
+    i.e. of 1 + alpha + ... + alpha^(e-1).  One incremental pass in ball
+    arithmetic: the running power advances by one multiplication with
+    alpha^(gap), itself from binary exponentiation, so a single exponent is
+    plain binary exponentiation of the full degree.  Precision is fixed
+    upfront from the last exponent and the multiplication count, with one
+    automatic retry at doubled precision; after that IndeterminateFrac
+    carries the 1-based index of the first uncertified point.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
     delta_f = Fraction(delta)
     if not 0 < delta_f < Fraction(1, 4):
         raise ValueError("delta must lie in (0, 1/4)")
-    if alpha.as_fraction() <= 1:
+    af = alpha.as_fraction()
+    if af <= 1:
         raise ValueError("alpha must exceed 1")
-    mults = 2 * d.bit_length()
-    prec = required_precision(d, alpha.upper_float(), delta_f, mults)
+    mults = 2  # the trailing subtraction/division rounding slack
+    prev = 0
+    for e in exps:
+        if e <= prev:
+            raise ValueError("exponents must be >= 1 and strictly increasing")
+        mults += 2 * (e - prev).bit_length() + 1
+        prev = e
+    am1 = None
+    extra = 0
+    if geometric:
+        am1 = ExactReal.from_fraction(af - 1)
+        mults += 2 * len(exps)
+        # dividing by alpha - 1 magnifies absolute error by 1/(alpha - 1)
+        extra = _ceil_log2_inv(min(af - 1, Fraction(1))) + 4
+    prec = required_precision(prev, alpha.upper_float(), delta_f, mults) + extra
     base = Ball.from_exact(alpha)
     try:
-        return frac_point(ball_pow(base, d, prec), delta)
+        return _walk(base, exps, am1, prec, delta_f)
     except IndeterminateFrac:
-        return frac_point(ball_pow(base, d, 2 * prec), delta)
+        return _walk(base, exps, am1, 2 * prec, delta_f)
+
+
+def pow_frac(alpha: ExactReal, d: int, delta) -> UnitPoint:
+    """frac(alpha^d) with certified error <= delta.
+
+    The one-exponent frac_walk: binary exponentiation of the full degree, an
+    independent route to the points of the incremental orbit walk.
+    """
+    return frac_walk(alpha, [d], delta)[0]

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ppclab.families import SequenceFamily, diff_derivative, diff_value
+from ppclab.families import SequenceFamily, _check_pair, diff_derivative, diff_value
 from ppclab.hypothesis import IntervalSpec
 
 _LEVEL_CAP = 10**6
@@ -127,6 +127,9 @@ class DifferenceMap:
     family: SequenceFamily
     n1: int
     n2: int
+
+    def __post_init__(self):
+        _check_pair(self.family, self.n1, self.n2)
 
     def value(self, x: Fraction) -> Fraction:
         return diff_value(self.family, Fraction(x), self.n1, self.n2)

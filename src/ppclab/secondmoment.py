@@ -13,6 +13,7 @@ machines and languages from the 64-bit seed alone.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,19 +91,33 @@ def _node_stats(args) -> list[float]:
     return [pair_count(orb.points[:n], s).statistic for n in n_list]
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_size(threads: int, jobs: int, cpus: int) -> int:
+    """Worker processes: no more than asked for, than jobs, or than usable
+    CPUs."""
+    return max(1, min(threads, jobs, cpus))
+
+
 def _run_nodes(family: SequenceFamily, alphas: Sequence[ExactReal],
                n_list: Sequence[int], s: Fraction, delta: Fraction,
                threads: int) -> list[list[float]]:
     jobs = [(family, alpha, list(n_list), s, delta) for alpha in alphas]
     columns: list[list[float]] = []
-    if threads <= 1:
+    workers = _pool_size(threads, len(jobs), _usable_cpus())
+    if workers == 1:
         for i, job in enumerate(jobs):
             try:
                 columns.append(_node_stats(job))
             except (IndeterminateFrac, PrecisionOverflow) as exc:
                 raise type(exc)("node %d: %s" % (i, exc)) from exc
         return columns
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_node_stats, job) for job in jobs]
         for i, fut in enumerate(futures):
             try:
@@ -150,16 +165,6 @@ def second_moment_series(family: SequenceFamily, interval: IntervalSpec, s,
         exponent, log_constant = decay_fit([(n, v) for n, v, _ in entries])
     return SecondMomentSeries(family, interval, s_frac, quad, delta_frac,
                               tuple(entries), exponent, log_constant)
-
-
-def variance_at(family: SequenceFamily, interval: IntervalSpec, s, N: int,
-                quad: QuadratureSpec, delta=None,
-                threads: int = 1) -> tuple[float, tuple[float, ...]]:
-    """Single-N variance estimate plus the per-node statistics for audit."""
-    series = second_moment_series(family, interval, s, [N], quad,
-                                  delta=delta, threads=threads)
-    _, v, node_values = series.entries[0]
-    return v, node_values
 
 
 def decay_fit(entries: Sequence[tuple[int, float]]) -> tuple[float, float]:
@@ -225,5 +230,4 @@ __all__ = [
     "series_to_csv",
     "series_to_json",
     "splitmix64_stream",
-    "variance_at",
 ]

@@ -52,6 +52,14 @@ def test_orbit_factorial_cap_is_precision_failure(capsys):
     assert "21" in doc["detail"]  # first index past the degree cap
 
 
+def test_orbit_precision_budget_is_precision_failure(capsys):
+    code, out, err = run(capsys, "orbit", "--family", "factorial",
+                         "--alpha", "1.5", "--N", "13")
+    assert code == 2 and out == ""
+    doc = json.loads(err.splitlines()[0])
+    assert doc["error"] == "precision"
+
+
 def test_orbit_file_parses_back(tmp_path, capsys):
     path = tmp_path / "orbit.txt"
     code, out, _ = run(capsys, "orbit", "--family", "monomial:k=2",
@@ -349,6 +357,10 @@ def test_stdout_matches_file_output(tmp_path, capsys):
      "--s", "1", "--N-list", "10,20", "--mode", "sobol"],
     ["second-moment", "--family", "monomial:k=2", "--a", "1.5", "--b", "1.6",
      "--s", "1", "--N-list", "10,20", "--threads", "0"],
+    ["measure", "--family", "kronecker", "--n1", "1", "--n2", "2",
+     "--a", "1.5", "--b", "2", "--target-c", "0", "--target-d", "0.5"],
+    ["measure", "--family", "linpow", "--n1", "3", "--n2", "2",
+     "--a", "1.5", "--b", "2", "--target-c", "0", "--target-d", "0.5"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -21,7 +21,15 @@ from ppclab.families import (
     orbit,
     parse_family,
 )
-from ppclab.hpreal import PrecisionOverflow, circle_dist, parse_alpha
+from ppclab import hpreal
+from ppclab.hpreal import (
+    ExactReal,
+    IndeterminateFrac,
+    PrecisionOverflow,
+    circle_dist,
+    parse_alpha,
+    pow_frac,
+)
 
 MON2 = SequenceFamily("monomial", 2)
 GEO2 = SequenceFamily("geomsum", 2)
@@ -186,6 +194,77 @@ def test_orbit_validation():
         orbit(MON2, alpha, 5, Fraction(1, 2))
     with pytest.raises(PrecisionOverflow):
         orbit(FACT, alpha, 25, DELTA)
+    with pytest.raises(PrecisionOverflow):  # 13! needs ~3.6e9 bits
+        orbit(FACT, alpha, 13, DELTA)
+
+
+# ---------------------------------------------------------------------------
+# the doubling retry of the shared walk (orbit, geomsum orbit, pow_frac)
+# ---------------------------------------------------------------------------
+
+ALPHA18 = parse_alpha("1.8", 128)
+RETRY_CASES = ("monomial", "geomsum", "pow_frac")
+
+
+def dyadic_frac_power(alpha: ExactReal, d: int) -> Fraction:
+    """frac(alpha^d) for alpha = m/2^e is exactly (m^d mod 2^(ed)) / 2^(ed)."""
+    m, e = alpha.num, -alpha.exp
+    return Fraction(m**d % (1 << (e * d)), 1 << (e * d))
+
+
+def _walked(case):
+    if case == "monomial":
+        return orbit(MON2, ALPHA18, 12, DELTA).points
+    if case == "geomsum":
+        return orbit(GEO2, ALPHA18, 6, DELTA).points
+    return (pow_frac(ALPHA18, 144, DELTA),)
+
+
+def _exact(case):
+    if case == "monomial":
+        return [dyadic_frac_power(ALPHA18, n * n) for n in range(1, 13)]
+    if case == "geomsum":
+        af = ALPHA18.as_fraction()
+        return [geomsum_oracle(af, n * n) % 1 for n in range(1, 7)]
+    return [dyadic_frac_power(ALPHA18, 144)]
+
+
+def _replan(monkeypatch, plan):
+    """Route every precision plan through `plan`; return the list that
+    collects each enclosure too wide to certify."""
+    planner, extract = hpreal.required_precision, hpreal.frac_point
+    monkeypatch.setattr(hpreal, "required_precision",
+                        lambda *args: plan(planner(*args)))
+    failures = []
+
+    def counted(ball, delta):
+        try:
+            return extract(ball, delta)
+        except IndeterminateFrac:
+            failures.append(ball)
+            raise
+
+    monkeypatch.setattr(hpreal, "frac_point", counted)
+    return failures
+
+
+@pytest.mark.parametrize("case", RETRY_CASES)
+def test_undersized_plan_succeeds_after_one_doubling(monkeypatch, case):
+    failures = _replan(monkeypatch, lambda bits: (bits + 1) // 2)
+    points = _walked(case)
+    assert len(failures) == 1  # the first walk failed, the doubled one held
+    for got, want in zip(points, _exact(case), strict=True):
+        assert got.error <= DELTA
+        assert circle_dist(got.value, want) <= Fraction(got.error)
+
+
+@pytest.mark.parametrize("case", RETRY_CASES)
+def test_far_too_small_plan_raises_with_index(monkeypatch, case):
+    failures = _replan(monkeypatch, lambda bits: 8)
+    with pytest.raises(IndeterminateFrac) as info:
+        _walked(case)
+    assert info.value.index == 1
+    assert len(failures) == 2
 
 
 # ---------------------------------------------------------------------------

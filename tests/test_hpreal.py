@@ -5,6 +5,7 @@ its fractional part are exactly computable with fractions.Fraction.  Every
 certified result must enclose the oracle value within its reported error.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,12 @@ def test_required_precision_frozen_values():
 def test_required_precision_overflow_reject():
     with pytest.raises(PrecisionOverflow):
         required_precision(2**62, 4.0, Fraction(1, 2**20), 8)
+    # the budget is PREC_BUDGET_BITS = 2^30: 12! at 1.9 fits, 13! does not
+    assert required_precision(math.factorial(12), 1.9, Fraction(1, 2**40), 100) < 2**30
+    with pytest.raises(PrecisionOverflow):
+        required_precision(math.factorial(13), 1.9, Fraction(1, 2**40), 100)
+    with pytest.raises(PrecisionOverflow):  # degree beyond the float range
+        required_precision(2**2000, 1.5, Fraction(1, 2**40), 8)
 
 
 def test_required_precision_validation():

@@ -12,6 +12,7 @@ from ppclab.hypothesis import IntervalSpec
 from ppclab.paircorr import pair_count
 from ppclab.secondmoment import (
     QuadratureSpec,
+    _pool_size,
     decay_fit,
     default_delta,
     quadrature_nodes,
@@ -19,7 +20,6 @@ from ppclab.secondmoment import (
     series_to_csv,
     series_to_json,
     splitmix64_stream,
-    variance_at,
 )
 
 # First three outputs of SplitMix64, checked against a compiled build of the
@@ -161,7 +161,8 @@ def test_prefix_reuse_matches_single_n_runs():
     delta = default_delta(1, 40)
     series = second_moment_series(fam, interval, 1, [20, 40], quad, delta=delta)
     for n, v, node_values in series.entries:
-        v_single, single_nodes = variance_at(fam, interval, 1, n, quad, delta=delta)
+        single = second_moment_series(fam, interval, 1, [n], quad, delta=delta)
+        _, v_single, single_nodes = single.entries[0]
         assert v_single == v
         assert single_nodes == node_values
 
@@ -171,7 +172,7 @@ def test_kronecker_on_random_nodes_has_flat_statistics():
     interval = IntervalSpec(Fraction("1.55"), Fraction("1.70"))
     quad = QuadratureSpec("random", 4, seed=20260819)
     s = Fraction(1, 10)
-    v, node_values = variance_at(fam, interval, s, 300, quad)
+    _, v, node_values = second_moment_series(fam, interval, s, [300], quad).entries[0]
     assert node_values == (0.0, 0.0, 0.0, 0.0)
     width = float(interval.b - interval.a)
     assert v == width / 4 * sum((0.0 - 0.2) ** 2 for _ in range(4))
@@ -185,6 +186,15 @@ def test_threads_match_serial():
     serial = second_moment_series(fam, interval, 1, [20, 40], quad, threads=1)
     pooled = second_moment_series(fam, interval, 1, [20, 40], quad, threads=2)
     assert serial.entries == pooled.entries
+
+
+def test_pool_size_is_capped_by_jobs_and_cpus():
+    assert _pool_size(10**6, 64, 2) == 2
+    assert _pool_size(10**6, 10**6, 1) == 1
+    assert _pool_size(8, 32, 2) == 2
+    assert _pool_size(8, 3, 64) == 3
+    assert _pool_size(4, 16, 8) == 4
+    assert _pool_size(1, 16, 8) == 1
 
 
 def test_node_failure_is_annotated_with_index():
