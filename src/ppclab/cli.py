@@ -7,7 +7,15 @@ measures, and `second-moment` sweeps the variance of the pair-correlation
 statistic over an alpha interval.
 
 Exit codes: 0 success, 1 usage error (single machine-readable line on stderr
-before any computation), 2 numeric or precision failure.  Every emitted
+before any computation), 2 numeric or precision failure.  Every input rule
+(alpha > 1 on its 128-bit grid, delta, s and the blur bound, 1 < a < b, tol,
+the hypothesis scan bounds) lives in the library function or constructor that
+owns the value; this module only turns flag text into values and adds the
+rules of the command line itself (N >= 2, flag combinations).  `main` maps
+errors in one place: PrecisionOverflow and IndeterminateFrac exit 2 as
+"precision"; TooBlurry, LevelCapExceeded and NonMonotone exit 2 as "numeric";
+any other ValueError, wherever it is raised, is a usage error and exits 1,
+so library messages never print an unbounded int in full.  Every emitted
 artifact embeds the run configuration so it can be replayed byte for byte;
 the output path and thread count are deliberately left out of that block so
 replays to a different location, or with different parallelism, compare equal.
@@ -24,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ppclab import __version__
-from ppclab.families import FamilyError, orbit, parse_family
-from ppclab.hpreal import IndeterminateFrac, PrecisionOverflow, parse_alpha
+from ppclab.families import orbit, parse_family
+from ppclab.hpreal import ALPHA_BITS, IndeterminateFrac, PrecisionOverflow, parse_alpha
 from ppclab.hypothesis import IntervalSpec, check_hypotheses, report_to_json
 from ppclab.measure import (
     CircleInterval,
@@ -39,6 +47,7 @@ from ppclab.measure import (
 )
 from ppclab.paircorr import (
     TooBlurry,
+    check_resolution,
     pair_count,
     points_text,
     ppc_curve,
@@ -54,13 +63,12 @@ from ppclab.secondmoment import (
     series_to_json,
 )
 
-_ALPHA_BITS = 128
 _DEFAULT_DELTA = "1/1099511627776"  # 2^-40
 _SELFTEST_N = (125, 250, 500, 1000)
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """A rule of the command line itself; library rules raise ValueError."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,73 +126,33 @@ def _frac(text: str, flag: str) -> Fraction:
         raise _UsageError("%s: not a number: %r" % (flag, text)) from None
 
 
-def _interval(a_text: str, b_text: str) -> IntervalSpec:
-    a = _frac(a_text, "--a")
-    b = _frac(b_text, "--b")
-    if not 1 < a < b:
-        raise _UsageError("need 1 < a < b, got a=%s b=%s" % (a_text, b_text))
-    return IntervalSpec(a, b)
+def _interval(ns) -> IntervalSpec:
+    return IntervalSpec(_frac(ns.a, "--a"), _frac(ns.b, "--b"))
 
 
-def _alpha(text: str):
-    value = _frac(text, "--alpha")
-    if value <= 1:
-        raise _UsageError("--alpha must be > 1, got %s" % text)
-    return parse_alpha(text, _ALPHA_BITS)
-
-
-def _family(spec: str):
-    try:
-        return parse_family(spec)
-    except FamilyError as exc:
-        raise _UsageError("--family: %s" % exc) from None
-
-
-def _positive_s(text: str) -> Fraction:
-    s = _frac(text, "--s")
-    if s <= 0:
-        raise _UsageError("--s must be positive, got %s" % text)
-    return s
-
-
-def _delta(text: str) -> Fraction:
-    d = _frac(text, "--delta")
-    if not 0 < d < Fraction(1, 4):
-        raise _UsageError("--delta must lie in (0, 1/4), got %s" % text)
-    return d
-
-
-def _check_n(n: int, flag: str = "--N") -> int:
+def _check_n(n: int) -> int:
     if n < 2:
-        raise _UsageError("%s must be >= 2, got %d" % (flag, n))
+        raise _UsageError("--N must be >= 2, got %d" % n)
     return n
 
 
 def _n_list(text: str) -> tuple[int, ...]:
+    # an argparse type: ArgumentTypeError keeps its message, where a
+    # ValueError would be replaced by "invalid _n_list value"
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError("--N-list: expected comma-separated integers, "
-                          "got %r" % text) from None
-    if not values:
-        raise _UsageError("--N-list must be nonempty")
-    for n in values:
-        _check_n(n, "--N-list")
+        raise argparse.ArgumentTypeError(
+            "expected comma-separated integers, got %r" % text) from None
+    if min(values) < 2:
+        raise argparse.ArgumentTypeError("every N must be >= 2, got %s" % text)
     return values
-
-
-def _blur_check(delta: Fraction, s: Fraction, n_max: int) -> None:
-    if delta > s / (100 * n_max):
-        raise _UsageError("--delta %s too coarse for --s %s at N=%d "
-                          "(need delta <= s/(100*N))" % (delta, s, n_max))
 
 
 def _load_points(path: str):
     try:
         return read_points(path)
     except OSError as exc:
-        raise _UsageError("--in: %s" % exc) from None
-    except ValueError as exc:
         raise _UsageError("--in: %s" % exc) from None
 
 
@@ -196,11 +164,11 @@ def _json_payload(doc: dict) -> str:
 
 
 def _cmd_orbit(ns) -> str:
-    family = _family(ns.family)
-    alpha = _alpha(ns.alpha)
+    family = parse_family(ns.family)
+    alpha = parse_alpha(ns.alpha, ALPHA_BITS)
     _check_n(ns.N)
     delta_text = ns.delta if ns.delta is not None else _DEFAULT_DELTA
-    delta = _delta(delta_text)
+    delta = _frac(delta_text, "--delta")
     cfg = RunConfig("orbit", family=ns.family, alpha=ns.alpha, N=ns.N,
                     delta=delta_text)
     orb = orbit(family, alpha, ns.N, delta)
@@ -222,7 +190,7 @@ def _paircorr_result(points, s: Fraction, cfg: RunConfig, fmt: str) -> str:
 
 
 def _cmd_paircorr(ns) -> str:
-    s = _positive_s(ns.s)
+    s = _frac(ns.s, "--s")
     if ns.infile is not None:
         if ns.family or ns.alpha or ns.N or ns.N_list or ns.delta:
             raise _UsageError("--in replaces the family flags; drop "
@@ -235,19 +203,18 @@ def _cmd_paircorr(ns) -> str:
         raise _UsageError("need --family and --alpha (or --in FILE)")
     if (ns.N is None) == (ns.N_list is None):
         raise _UsageError("need exactly one of --N or --N-list")
-    family = _family(ns.family)
-    alpha = _alpha(ns.alpha)
+    family = parse_family(ns.family)
+    alpha = parse_alpha(ns.alpha, ALPHA_BITS)
     n_list = (ns.N_list if ns.N_list is not None
               else (_check_n(ns.N),))
-    n_max = max(n_list)
     delta_text = (ns.delta if ns.delta is not None
-                  else str(default_delta(s, n_max)))
-    delta = _delta(delta_text)
-    _blur_check(delta, s, n_max)
+                  else str(default_delta(s, max(n_list))))
+    delta = _frac(delta_text, "--delta")
     cfg = RunConfig("paircorr", family=ns.family, alpha=ns.alpha,
                     N=ns.N, N_list=ns.N_list, s=ns.s, delta=delta_text,
                     format=ns.format)
     if ns.N is not None:
+        check_resolution(s, delta, ns.N)
         orb = orbit(family, alpha, ns.N, delta)
         return _paircorr_result(orb.points, s, cfg, ns.format)
     curve = ppc_curve(family, alpha, s, list(n_list), delta)
@@ -275,11 +242,11 @@ def _cmd_discrepancy(ns) -> str:
     else:
         if ns.family is None or ns.alpha is None or ns.N is None:
             raise _UsageError("need --family, --alpha and --N (or --in FILE)")
-        family = _family(ns.family)
-        alpha = _alpha(ns.alpha)
+        family = parse_family(ns.family)
+        alpha = parse_alpha(ns.alpha, ALPHA_BITS)
         _check_n(ns.N)
         delta_text = ns.delta if ns.delta is not None else _DEFAULT_DELTA
-        delta = _delta(delta_text)
+        delta = _frac(delta_text, "--delta")
         cfg = RunConfig("discrepancy", family=ns.family, alpha=ns.alpha,
                         N=ns.N, delta=delta_text)
         points = orbit(family, alpha, ns.N, delta).points
@@ -293,16 +260,8 @@ def _cmd_discrepancy(ns) -> str:
 
 
 def _cmd_hypothesis(ns) -> str:
-    family = _family(ns.family)
-    interval = _interval(ns.a, ns.b)
-    if ns.n_max < 2:
-        raise _UsageError("--n-max must be >= 2")
-    if ns.grid_size < 3:
-        raise _UsageError("--grid-size must be >= 3")
-    if ns.n1_max < 1:
-        raise _UsageError("--n1-max must be >= 1")
-    if ns.n2_max <= ns.n1_max:
-        raise _UsageError("--n2-max must exceed --n1-max")
+    family = parse_family(ns.family)
+    interval = _interval(ns)
     cfg = RunConfig("hypothesis", family=ns.family, a=ns.a, b=ns.b,
                     extras=(("n_max", ns.n_max), ("grid_size", ns.grid_size),
                             ("n1_max", ns.n1_max), ("n2_max", ns.n2_max)))
@@ -316,7 +275,7 @@ def _cmd_hypothesis(ns) -> str:
 
 
 def _cmd_measure(ns) -> str:
-    interval = _interval(ns.a, ns.b)
+    interval = _interval(ns)
     if (ns.degree is None) == (ns.family is None):
         raise _UsageError("need exactly one of --degree or "
                           "--family with --n1/--n2")
@@ -324,29 +283,17 @@ def _cmd_measure(ns) -> str:
     if ns.degree is not None:
         if ns.n1 is not None or ns.n2 is not None:
             raise _UsageError("--n1/--n2 only apply with --family")
-        try:
-            g = PowerMap(ns.degree)
-        except ValueError as exc:
-            raise _UsageError("--degree: %s" % exc) from None
+        g = PowerMap(ns.degree)
         extras.append(("degree", ns.degree))
     else:
         if ns.n1 is None or ns.n2 is None:
             raise _UsageError("difference maps need --n1 and --n2")
-        try:
-            g = DifferenceMap(_family(ns.family), ns.n1, ns.n2)
-        except (FamilyError, ValueError) as exc:
-            raise _UsageError(str(exc)) from None
+        g = DifferenceMap(parse_family(ns.family), ns.n1, ns.n2)
         extras.extend((("n1", ns.n1), ("n2", ns.n2)))
     c = _frac(ns.target_c, "--target-c")
     d = _frac(ns.target_d, "--target-d")
-    try:
-        target = (CircleInterval.wrap(c, d) if ns.wrap
-                  else CircleInterval.arc(c, d))
-    except ValueError as exc:
-        raise _UsageError("target interval: %s" % exc) from None
+    target = CircleInterval.wrap(c, d) if ns.wrap else CircleInterval.arc(c, d)
     tol = _frac(ns.tol, "--tol")
-    if not 0 < tol <= Fraction(1, 10**6):
-        raise _UsageError("--tol must lie in (0, 1e-6], got %s" % ns.tol)
     extras.extend((("target_c", ns.target_c), ("target_d", ns.target_d)))
     if ns.wrap:
         extras.append(("wrap", True))
@@ -375,19 +322,14 @@ def _cmd_second_moment(ns) -> str:
         raise _UsageError("need --family, --a, --b and --s")
     if ns.N_list is None and ns.N is None:
         raise _UsageError("need --N-list (or --N)")
-    family = _family(ns.family)
-    interval = _interval(ns.a, ns.b)
-    s = _positive_s(ns.s)
+    family = parse_family(ns.family)
+    interval = _interval(ns)
+    s = _frac(ns.s, "--s")
     n_list = ns.N_list if ns.N_list is not None else (_check_n(ns.N),)
-    n_max = max(n_list)
     delta_text = (ns.delta if ns.delta is not None
-                  else str(default_delta(s, n_max)))
-    delta = _delta(delta_text)
-    _blur_check(delta, s, n_max)
-    try:
-        quad = QuadratureSpec(ns.mode, ns.K, ns.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+                  else str(default_delta(s, max(n_list))))
+    delta = _frac(delta_text, "--delta")
+    quad = QuadratureSpec(ns.mode, ns.K, ns.seed)
     cfg = RunConfig("second-moment", family=ns.family, a=ns.a, b=ns.b,
                     N=ns.N, N_list=ns.N_list, s=ns.s, delta=delta_text,
                     seed=ns.seed, K=ns.K, format=ns.format,
@@ -535,36 +477,28 @@ def _emit(out: str | None, payload: str) -> None:
             fh.write(payload)
 
 
+def _fail(doc: dict, code: int) -> int:
+    print(json.dumps(doc), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(json.dumps({"error": "usage", "detail": str(exc)}),
-              file=sys.stderr)
-        return 1
+        ns = build_parser().parse_args(argv)
+        if ns.threads < 1:
+            raise _UsageError("--threads must be >= 1")
+        payload = _HANDLERS[ns.cmd](ns)
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (None, 0) else int(exc.code)
-    if getattr(ns, "threads", 1) < 1:
-        print(json.dumps({"error": "usage",
-                          "detail": "--threads must be >= 1"}),
-              file=sys.stderr)
-        return 1
-    try:
-        payload = _HANDLERS[ns.cmd](ns)
-    except _UsageError as exc:
-        print(json.dumps({"error": "usage", "detail": str(exc)}),
-              file=sys.stderr)
-        return 1
     except (PrecisionOverflow, IndeterminateFrac) as exc:
-        print(json.dumps({"error": "precision", "detail": str(exc),
-                          "index": getattr(exc, "index", None)}),
-              file=sys.stderr)
-        return 2
+        return _fail({"error": "precision", "detail": str(exc),
+                      "index": getattr(exc, "index", None)}, 2)
+    # TooBlurry, LevelCapExceeded and NonMonotone subclass ValueError, so
+    # they are caught before the usage clause
     except (LevelCapExceeded, NonMonotone, TooBlurry) as exc:
-        print(json.dumps({"error": "numeric", "detail": str(exc)}),
-              file=sys.stderr)
-        return 2
+        return _fail({"error": "numeric", "detail": str(exc)}, 2)
+    except ValueError as exc:  # _UsageError and every library input rule
+        return _fail({"error": "usage", "detail": str(exc)}, 1)
     _emit(ns.out, payload)
     return 0
 

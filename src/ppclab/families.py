@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ppclab.hpreal import ExactReal, PrecisionOverflow, UnitPoint, frac_walk
+from ppclab.hpreal import ExactReal, PrecisionOverflow, UnitPoint, check_delta, frac_walk
 
 _FACTORIAL_CAP = 20
 
@@ -94,20 +94,13 @@ class Orbit:
         return len(self.points)
 
 
-def _validate_delta(delta) -> Fraction:
-    d = Fraction(delta)
-    if not 0 < d < Fraction(1, 4):
-        raise ValueError("delta must lie in (0, 1/4)")
-    return d
-
-
 def _kronecker_frac(alpha_frac: Fraction, n: int) -> Fraction:
     return (n * alpha_frac) % 1
 
 
 def eval_frac(family: SequenceFamily, alpha: ExactReal, n: int, delta) -> UnitPoint:
     """frac(f_n(alpha)) with certified error <= delta (exact for Kronecker)."""
-    delta_f = _validate_delta(delta)
+    delta_f = check_delta(delta)
     if n < 1:
         raise ValueError("index must be >= 1")
     if family.kind == "kronecker":
@@ -129,7 +122,7 @@ def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
     Single incremental pass of hpreal.frac_walk over the exponents of
     f_1 .. f_N; Kronecker orbits are exact rational walks.
     """
-    delta_f = _validate_delta(delta)
+    delta_f = check_delta(delta)
     if N < 1:
         raise ValueError("N must be >= 1")
     if family.kind == "kronecker":

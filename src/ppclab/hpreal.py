@@ -42,6 +42,9 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 # per operand.  The largest plan any test or workload uses is ~3.6 Mbit.
 PREC_BUDGET_BITS = 1 << 30
 
+# Fractional bits of the grid that user alpha literals are rounded to.
+ALPHA_BITS = 128
+
 
 class PrecisionOverflow(Exception):
     """The planned working precision exceeds PREC_BUDGET_BITS mantissa bits."""
@@ -226,6 +229,14 @@ def parse_alpha(text: str, bits: int) -> ExactReal:
     return ExactReal.from_fraction(value)
 
 
+def check_delta(delta) -> Fraction:
+    """The per-point error budget as a Fraction; it must lie in (0, 1/4)."""
+    delta_f = Fraction(delta)
+    if not 0 < delta_f < Fraction(1, 4):
+        raise ValueError("delta must lie in (0, 1/4)")
+    return delta_f
+
+
 def required_precision(d: int, alpha_upper, delta, mults: int) -> int:
     """Working mantissa bits for frac(alpha^d) to absolute tolerance delta.
 
@@ -250,9 +261,12 @@ def required_precision(d: int, alpha_upper, delta, mults: int) -> int:
         magnitude = math.inf
     prec = magnitude + _ceil_log2_inv(delta_f) + mults.bit_length() + 16
     if prec > PREC_BUDGET_BITS:
+        # str() of an int beyond 4300 digits raises ValueError
+        shown = (str(d) if d.bit_length() <= 1000
+                 else "above 2^%d" % (d.bit_length() - 1))
         raise PrecisionOverflow(
-            "degree %d at alpha_upper %g needs %g mantissa bits (budget %d)"
-            % (d, au, prec, PREC_BUDGET_BITS)
+            "degree %s at alpha_upper %g needs %g mantissa bits (budget %d)"
+            % (shown, au, prec, PREC_BUDGET_BITS)
         )
     return prec
 
@@ -480,9 +494,7 @@ def frac_walk(alpha: ExactReal, exps, delta,
     automatic retry at doubled precision; after that IndeterminateFrac
     carries the 1-based index of the first uncertified point.
     """
-    delta_f = Fraction(delta)
-    if not 0 < delta_f < Fraction(1, 4):
-        raise ValueError("delta must lie in (0, 1/4)")
+    delta_f = check_delta(delta)
     af = alpha.as_fraction()
     if af <= 1:
         raise ValueError("alpha must exceed 1")

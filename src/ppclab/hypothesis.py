@@ -29,6 +29,7 @@ from ppclab.families import (
     diff_over_lead,
     diff_value,
 )
+from ppclab.hpreal import PrecisionOverflow
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -207,10 +208,16 @@ def condition5_lhs(d1: int, d2: int, C: float, a: float) -> float:
         raise ValueError("C must exceed 1")
     if a <= 1:
         raise ValueError("a must exceed 1")
-    growth = d2 / d1
-    return ((2.0 * growth - 1.0) * math.log(C)
-            + (d1 - d2) * math.log(a)
-            - math.log(d2 * (growth - 1.0)))
+    try:
+        growth = d2 / d1
+        return ((2.0 * growth - 1.0) * math.log(C)
+                + (d1 - d2) * math.log(a)
+                - math.log(d2 * (growth - 1.0)))
+    except OverflowError:
+        raise PrecisionOverflow(
+            "condition (5) at degrees of %d and %d bits leaves the float range"
+            % (d1.bit_length(), d2.bit_length())
+        ) from None
 
 
 def _scan_violations(family: SequenceFamily, C: float, a: float,
@@ -282,8 +289,18 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
                      n_max: int = 8, grid_size: int = 64,
                      n1_search_max: int = 200,
                      n2_verify_max: int = 500) -> HypothesisReport:
-    """Run all five condition checks and assemble the report."""
-    v1 = check_condition1(family, max(2, n_max))
+    """Run all five condition checks and assemble the report.
+
+    All four scan bounds are checked before condition (1) runs.
+    """
+    if n_max < 2:
+        raise ValueError("n_max must be >= 2")
+    if grid_size < 3:
+        raise ValueError("grid_size must be >= 3")
+    if not 2 <= n1_search_max < n2_verify_max:
+        raise ValueError("need 2 <= n1_search_max < n2_verify_max, got %d and %d"
+                         % (n1_search_max, n2_verify_max))
+    v1 = check_condition1(family, n_max)
     if family.kind == "kronecker":
         skip = Verdict(SKIPPED, {"reason": "degree-growth conditions do not "
                                            "apply: deg(f_n) = 1 for all n"})

@@ -5,7 +5,9 @@ M is intersected with [g(a), g(b)] and pulled back through g by bisection.
 All function values and comparisons are exact rationals, so the only error is
 the final bisection bracket width, which is budgeted as tol/(levels+1) per
 endpoint.  The same machinery produces the per-level preimage intervals whose
-left endpoints drive the second-moment analysis.
+left endpoints drive the second-moment analysis.  A map g gives value(x)
+(exact), derivative(x) (float) and lead(x), the pair (d, g(x)/x^d) from which
+the level cap is checked in floats before any exact value.
 
 Degrees are capped through the level count (about g(b) levels), so the exact
 route is a desk-scale instrument; large-degree behavior is reached through
@@ -18,7 +20,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ppclab.families import SequenceFamily, _check_pair, diff_derivative, diff_value
+from ppclab.families import (
+    SequenceFamily,
+    _check_pair,
+    degree,
+    diff_derivative,
+    diff_over_lead,
+    diff_value,
+)
 from ppclab.hypothesis import IntervalSpec
 
 _LEVEL_CAP = 10**6
@@ -119,6 +128,10 @@ class PowerMap:
     def derivative(self, x: float) -> float:
         return self.d * x ** (self.d - 1)
 
+    def lead(self, x: float) -> tuple[int, float]:
+        """(d, g(x)/x^d), the log form used before any exact power."""
+        return self.d, 1.0
+
 
 @dataclass(frozen=True)
 class DifferenceMap:
@@ -137,6 +150,12 @@ class DifferenceMap:
     def derivative(self, x: float) -> float:
         return diff_derivative(self.family, x, self.n1, self.n2)
 
+    def lead(self, x: float) -> tuple[int, float]:
+        """(d, g(x)/x^d) with d = d_{n2}, the log form used before any exact
+        power."""
+        return (degree(self.family, self.n2),
+                diff_over_lead(self.family, x, self.n1, self.n2))
+
 
 def _validate_tol(tol) -> Fraction:
     tol_frac = Fraction(tol)
@@ -145,12 +164,53 @@ def _validate_tol(tol) -> Fraction:
     return tol_frac
 
 
-def _range_checks(g, interval: IntervalSpec) -> tuple[Fraction, Fraction]:
+def _log_rise(g, interval: IntervalSpec) -> float:
+    """ln(g(b) - g(a)) in floats, from g(x) = x^d * lead(x) with lead > 0.
+
+    ln(g(b) - g(a)) = d*ln(b) + ln(lead(b)) + ln(1 - g(a)/g(b)), where
+    ln(g(a)/g(b)) = -d*ln(b/a) + ln(lead(a)/lead(b)).  inf when d*ln(b)
+    leaves the float range; -inf when the form shows no rise, which leaves
+    the decision to the exact values.
+    """
+    a, b = interval.a, interval.b
+    try:
+        d, lead_a = g.lead(float(a))
+        _, lead_b = g.lead(float(b))
+        if not (lead_a > 0 and lead_b > 0):
+            return -math.inf
+        log_ratio = (-d * math.log1p(float((b - a) / a))
+                     + math.log(lead_a / lead_b))
+        if log_ratio >= 0:
+            return -math.inf
+        return (d * math.log(float(b)) + math.log(lead_b)
+                + math.log(-math.expm1(log_ratio)))
+    except OverflowError:  # a degree beyond the float range
+        return math.inf
+
+
+def _checked_range(g, interval: IntervalSpec) -> tuple[Fraction, Fraction]:
+    """(g(a), g(b)) once g is increasing and the level count within the cap.
+
+    The float estimate of g(b) - g(a) rejects far-off degrees before any
+    exact power; its factor-2 margin covers float rounding, and nearer the
+    cap the exact level count decides.
+    """
+    rise = _log_rise(g, interval)
+    if rise > math.log(2 * _LEVEL_CAP):
+        count = ("beyond the float range" if math.isinf(rise)
+                 else "about 10^%.0f" % (rise / math.log(10)))
+        raise LevelCapExceeded(
+            "level count %s exceeds cap %d; use the statistic route for "
+            "large degrees" % (count, _LEVEL_CAP))
     ga = g.value(interval.a)
     gb = g.value(interval.b)
     mid = g.value((interval.a + interval.b) / 2)
     if not ga < mid < gb:
         raise NonMonotone("g is not increasing across [a, b]")
+    if math.ceil(gb) - math.floor(ga) > _LEVEL_CAP:
+        raise LevelCapExceeded(
+            "level count exceeds cap %d; use the statistic route for large "
+            "degrees" % _LEVEL_CAP)
     return ga, gb
 
 
@@ -190,15 +250,10 @@ def level_set_measure(g, interval: IntervalSpec, target: CircleInterval,
                       tol) -> MeasureResult:
     """Lebesgue measure of {alpha: fractional part of g(alpha) in target}."""
     tol_frac = _validate_tol(tol)
-    ga, gb = _range_checks(g, interval)
+    ga, gb = _checked_range(g, interval)
     m_lo = math.floor(ga)
     m_hi = math.ceil(gb)
     levels = m_hi - m_lo
-    if levels > _LEVEL_CAP:
-        raise LevelCapExceeded(
-            "level count %d exceeds cap %d; use the statistic route for "
-            "large degrees" % (levels, _LEVEL_CAP)
-        )
     iters = _iterations(interval, levels, tol_frac)
     atol = float(tol_frac / (levels + 1))
     intervals: list[PreimageInterval] = []
@@ -243,11 +298,7 @@ def preimage_intervals(g, interval: IntervalSpec, level_halfwidth,
     if not 0 <= half <= Fraction(1, 2):
         raise ValueError("level_halfwidth must lie in [0, 1/2]")
     tol_frac = _validate_tol(tol)
-    ga, gb = _range_checks(g, interval)
-    if math.ceil(gb) - math.floor(ga) > _LEVEL_CAP:
-        raise LevelCapExceeded(
-            "level count exceeds cap %d" % _LEVEL_CAP
-        )
+    ga, gb = _checked_range(g, interval)
     m_first = math.ceil(ga - half)
     m_last = math.floor(gb + half)
     levels = max(m_last - m_first, 0)

@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ppclab.families import Orbit, SequenceFamily, orbit
-from ppclab.hpreal import ExactReal, UnitPoint
+from ppclab.hpreal import ExactReal, UnitPoint, check_delta
 
 
 class TooBlurry(ValueError):
@@ -146,6 +146,22 @@ def naive_pair_count(points: Sequence[UnitPoint], s) -> int:
     return count
 
 
+def check_resolution(s, delta, n_max: int) -> tuple[Fraction, Fraction]:
+    """(s, delta) as Fractions, checked before any orbit up to n_max points.
+
+    Needs s > 0, delta in (0, 1/4), and delta <= s/(100*n_max), so that points
+    certified to delta pass the blur guard of every prefix pair count.
+    """
+    s_frac = _as_fraction_s(s)
+    delta_f = check_delta(delta)
+    if delta_f > s_frac / (100 * n_max):
+        raise ValueError(
+            "delta %.3g too coarse for s %.3g at N=%d (need delta <= s/(100*N))"
+            % (delta_f, s_frac, n_max)
+        )
+    return s_frac, delta_f
+
+
 def ppc_curve(family: SequenceFamily, alpha: ExactReal, s, N_list: Sequence[int],
               delta) -> list[tuple[int, float]]:
     """Pair-correlation statistic along N_list from one orbit at max(N_list)."""
@@ -153,13 +169,8 @@ def ppc_curve(family: SequenceFamily, alpha: ExactReal, s, N_list: Sequence[int]
         raise ValueError("N_list must be nonempty")
     if any(n < 1 for n in N_list):
         raise ValueError("every N must be >= 1")
-    s_frac = _as_fraction_s(s)
     n_max = max(N_list)
-    if Fraction(delta) > s_frac / (100 * n_max):
-        raise ValueError(
-            "delta %s too coarse for the blur guard at N=%d (need <= s/(100*N))"
-            % (delta, n_max)
-        )
+    s_frac, delta = check_resolution(s, delta, n_max)
     orb = orbit(family, alpha, n_max, delta)
     return [(N, pair_count(orb.points[:N], s_frac).statistic) for N in N_list]
 
@@ -236,10 +247,15 @@ def read_points(path) -> list[UnitPoint]:
             continue
         if line.startswith("#"):
             continue
-        value = Fraction(line.strip())
-        if not 0 <= value < 1:
-            raise ValueError("point outside [0,1): %s" % line.strip())
-        points.append(UnitPoint(value, 0.0))
+        text = line.strip()
+        try:
+            value = Decimal(text)
+        except InvalidOperation:
+            raise ValueError("not a decimal: %r" % text[:60]) from None
+        # range check before the exact Fraction, which would expand 1e999999999
+        if not (value.is_finite() and 0 <= value < 1):
+            raise ValueError("point outside [0,1): %r" % text[:60])
+        points.append(UnitPoint(Fraction(value), 0.0))
     if len(points) != n_declared:
         raise ValueError(
             "header declares N=%d but file holds %d points" % (n_declared, len(points))
@@ -251,6 +267,7 @@ __all__ = [
     "DiscrepancyResult",
     "PairCorrelationResult",
     "TooBlurry",
+    "check_resolution",
     "format_point",
     "gap_spectrum",
     "naive_pair_count",

@@ -20,12 +20,17 @@ from fractions import Fraction
 from typing import Sequence
 
 from ppclab.families import SequenceFamily, orbit
-from ppclab.hpreal import ExactReal, IndeterminateFrac, PrecisionOverflow, parse_alpha
+from ppclab.hpreal import (
+    ALPHA_BITS,
+    ExactReal,
+    IndeterminateFrac,
+    PrecisionOverflow,
+    parse_alpha,
+)
 from ppclab.hypothesis import IntervalSpec
-from ppclab.paircorr import pair_count
+from ppclab.paircorr import check_resolution, pair_count
 
 _MASK64 = (1 << 64) - 1
-_ALPHA_BITS = 128
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -128,7 +133,7 @@ def _run_nodes(family: SequenceFamily, alphas: Sequence[ExactReal],
 
 
 def _alphas_for(interval: IntervalSpec, quad: QuadratureSpec) -> list[ExactReal]:
-    return [parse_alpha(str(node), _ALPHA_BITS)
+    return [parse_alpha(str(node), ALPHA_BITS)
             for node in quadrature_nodes(interval, quad)]
 
 
@@ -140,16 +145,11 @@ def second_moment_series(family: SequenceFamily, interval: IntervalSpec, s,
         raise ValueError("N_list must be nonempty")
     if any(n < 1 for n in N_list):
         raise ValueError("every N must be >= 1")
-    s_frac = Fraction(s)
-    if s_frac <= 0:
-        raise ValueError("s must be positive")
     n_sorted = sorted(set(int(n) for n in N_list))
     n_max = n_sorted[-1]
     if delta is None:
-        delta = default_delta(s_frac, n_max)
-    delta_frac = Fraction(delta)
-    if delta_frac > s_frac / (100 * n_max):
-        raise ValueError("delta too coarse for the blur guard at N=%d" % n_max)
+        delta = default_delta(s, n_max)
+    s_frac, delta_frac = check_resolution(s, delta, n_max)
     alphas = _alphas_for(interval, quad)
     columns = _run_nodes(family, alphas, n_sorted, s_frac, delta_frac, threads)
     width = float(interval.b - interval.a)

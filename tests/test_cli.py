@@ -58,6 +58,20 @@ def test_orbit_precision_budget_is_precision_failure(capsys):
     assert code == 2 and out == ""
     doc = json.loads(err.splitlines()[0])
     assert doc["error"] == "precision"
+    # degrees beyond the float range in the condition (5) scan and in the
+    # walk's planner, whose message names a degree past str()'s digit limit
+    # by its size
+    for argv in (["hypothesis", "--family", "monomial:k=1100", "--a", "1.5",
+                  "--b", "2", "--n1-max", "3", "--n2-max", "5"],
+                 ["orbit", "--family", "monomial:k=1100", "--alpha", "1.5",
+                  "--N", "3"],
+                 ["orbit", "--family", "monomial:k=15000", "--alpha", "1.5",
+                  "--N", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "precision"
 
 
 def test_orbit_file_parses_back(tmp_path, capsys):
@@ -206,6 +220,16 @@ def test_measure_level_cap_is_numeric_failure(capsys):
     assert code == 2
     doc = json.loads(err.splitlines()[0])
     assert doc["error"] == "numeric"
+    # far past the cap: rejected before any exact power, so these return
+    # at once; the level count itself has more digits than int-to-str allows
+    for source in (["--degree", "56000"], ["--degree", "4000000"],
+                   ["--family", "monomial:k=30", "--n1", "1", "--n2", "2"]):
+        code, out, err = run(capsys, "measure", "--a", "1.1", "--b", "1.2",
+                             *source, "--target-c", "0", "--target-d", "0.25")
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numeric"
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +385,12 @@ def test_stdout_matches_file_output(tmp_path, capsys):
      "--a", "1.5", "--b", "2", "--target-c", "0", "--target-d", "0.5"],
     ["measure", "--family", "linpow", "--n1", "3", "--n2", "2",
      "--a", "1.5", "--b", "2", "--target-c", "0", "--target-d", "0.5"],
+    ["orbit", "--family", "geomsum:k=2",
+     "--alpha", "1.0000000000000000000000000000000000000001", "--N", "3"],
+    ["hypothesis", "--family", "monomial:k=2", "--a", "1.5", "--b", "2",
+     "--n1-max", "1", "--n2-max", "5"],
+    ["hypothesis", "--family", "kronecker", "--a", "1.5", "--b", "2",
+     "--n1-max", "1"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -382,6 +412,15 @@ def test_malformed_points_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "paircorr", "--in", str(path), "--s", "1")
     assert code == 1
     usage_error(err)
+    # a zero denominator, and an exponent whose exact value would take
+    # gigabytes: both are rejected as text, for both readers of --in
+    for line in ("1/0", "1e999999999"):
+        path.write_text("# ppc-points v1 N=2\n0.5\n%s\n" % line)
+        for argv in (["paircorr", "--in", str(path), "--s", "1"],
+                     ["discrepancy", "--in", str(path)]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            usage_error(err)
 
 
 def test_help_lists_subcommands_and_is_stable(capsys):

@@ -1,0 +1,141 @@
+"""Property tests: every certified enclosure contains the exact rational value.
+
+For a dyadic alpha = m/2^e every power is an exact rational, so the certified
+walk and the ball operations can be checked against exact arithmetic on
+random inputs rather than on a handful of frozen cases.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ppclab.hpreal import (
+    Ball,
+    ExactReal,
+    _r_add,
+    _r_norm,
+    ball_div_exact,
+    ball_mul,
+    ball_sub_int,
+    frac_walk,
+)
+
+_WALK = settings(max_examples=100, deadline=None, derandomize=True)
+_BALL = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+@st.composite
+def dyadic_alphas(draw) -> tuple[int, int]:
+    """(m, e) with 1 < m/2^e < 4, often just above 1, where dividing by
+    alpha - 1 magnifies the error most."""
+    e = draw(st.integers(1, 24))
+    m = (1 << e) + draw(st.integers(1, 8) | st.integers(1, (3 << e) - 1))
+    return m, e
+
+
+exponent_lists = st.lists(st.integers(1, 10**4), min_size=1, max_size=6,
+                          unique=True).map(sorted)
+deltas = st.integers(10, 60).map(lambda k: Fraction(1, 1 << k))
+
+
+def _encloses(point, num: int, den: int) -> bool:
+    """Circle distance of point.value to num/den is <= point.error.
+
+    Integer arithmetic only: the exact values have ~10^5-bit denominators,
+    where reducing a Fraction would cost more than the walk.
+    """
+    a, q = point.value.numerator, point.value.denominator
+    gap = (a * den - num * q) % (q * den)
+    gap = min(gap, q * den - gap)
+    err = Fraction(point.error)
+    return gap * err.denominator <= err.numerator * q * den
+
+
+@_WALK
+@given(dyadic_alphas(), exponent_lists, deltas)
+def test_frac_walk_points_enclose_exact_powers(me, exps, delta):
+    m, e = me
+    points = frac_walk(ExactReal.from_fraction(Fraction(m, 1 << e)), exps,
+                       delta)
+    assert len(points) == len(exps)
+    for d, p in zip(exps, points):
+        # frac(alpha^d) = (m^d mod 2^(ed)) / 2^(ed)
+        assert p.error <= delta
+        assert _encloses(p, pow(m, d, 1 << (e * d)), 1 << (e * d))
+
+
+@_WALK
+@given(dyadic_alphas(), exponent_lists, deltas)
+def test_geometric_walk_points_enclose_exact_sums(me, exps, delta):
+    m, e = me
+    points = frac_walk(ExactReal.from_fraction(Fraction(m, 1 << e)), exps,
+                       delta, geometric=True)
+    for d, p in zip(exps, points):
+        # (alpha^d - 1)/(alpha - 1) = (m^d - 2^(ed)) / (2^(e(d-1)) (m - 2^e))
+        den = (m - (1 << e)) << (e * (d - 1))
+        assert p.error <= delta
+        assert _encloses(p, (m**d - (1 << (e * d))) % den, den)
+
+
+# ---------------------------------------------------------------------------
+# ball operations on random enclosures
+# ---------------------------------------------------------------------------
+
+def _radius(r: tuple[int, int]) -> Fraction:
+    man, exp = r
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _mid(x: Ball) -> Fraction:
+    return x.midpoint_fraction()
+
+
+def _contains(ball: Ball, value: Fraction) -> bool:
+    return abs(value - _mid(ball)) <= _radius(ball.rad)
+
+
+@st.composite
+def balls_with_member(draw) -> tuple[Ball, Fraction]:
+    """A random ball and an exact value inside it (endpoints included)."""
+    man = draw(st.integers(-(1 << 300), 1 << 300))
+    exp = draw(st.integers(-300, 300))
+    rad = _r_norm(draw(st.integers(0, 1 << 40)), draw(st.integers(-340, 300)))
+    ball = Ball(man, exp, rad)
+    t = draw(st.sampled_from([Fraction(-1), Fraction(0), Fraction(1)])
+             | st.fractions(min_value=-1, max_value=1, max_denominator=1 << 20))
+    return ball, _mid(ball) + t * _radius(rad)
+
+
+precisions = st.integers(8, 256)
+
+
+@_BALL
+@given(balls_with_member(), balls_with_member(), precisions)
+def test_ball_mul_encloses_products(xb, yb, prec):
+    (x, xv), (y, yv) = xb, yb
+    assert _contains(ball_mul(x, y, prec), xv * yv)
+
+
+@_BALL
+@given(balls_with_member(), st.integers(-(1 << 200), 1 << 200), precisions)
+def test_ball_sub_int_encloses_differences(xb, k, prec):
+    x, xv = xb
+    assert _contains(ball_sub_int(x, k, prec), xv - k)
+
+
+@_BALL
+@given(balls_with_member(), st.integers(1, 1 << 200),
+       st.integers(-200, 200), precisions)
+def test_ball_div_exact_encloses_quotients(xb, num, exp, prec):
+    x, xv = xb
+    y = ExactReal.from_fraction(Fraction(num) * Fraction(2) ** exp)
+    assert _contains(ball_div_exact(x, y, prec), xv / y.as_fraction())
+
+
+@_BALL
+@given(st.integers(0, 1 << 80), st.integers(-400, 400),
+       st.integers(0, 1 << 80), st.integers(-400, 400))
+def test_radius_sum_is_an_upper_bound(m1, e1, m2, e2):
+    r1, r2 = _r_norm(m1, e1), _r_norm(m2, e2)
+    assert _radius(_r_add(r1, r2)) >= _radius(r1) + _radius(r2)

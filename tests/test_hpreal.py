@@ -17,6 +17,7 @@ from ppclab.hpreal import (
     PrecisionOverflow,
     UnitPoint,
     ball_pow,
+    check_delta,
     circle_dist,
     frac_point,
     parse_alpha,
@@ -69,6 +70,14 @@ def test_parse_rejections():
         parse_alpha("1.0000000001", 8)
 
 
+def test_check_delta():
+    assert check_delta("1/1099511627776") == Fraction(1, 2**40)
+    assert check_delta(0.1) == Fraction(0.1)
+    for bad in (0, -1e-9, Fraction(1, 4), 0.3, "1e999"):
+        with pytest.raises(ValueError):
+            check_delta(bad)
+
+
 def test_exactreal_from_float_is_exact():
     x = ExactReal.from_float(1.7)
     assert x.as_fraction() == Fraction(1.7)
@@ -94,6 +103,9 @@ def test_required_precision_overflow_reject():
         required_precision(math.factorial(13), 1.9, Fraction(1, 2**40), 100)
     with pytest.raises(PrecisionOverflow):  # degree beyond the float range
         required_precision(2**2000, 1.5, Fraction(1, 2**40), 8)
+    # a degree beyond str()'s 4300 digits is named by its size
+    with pytest.raises(PrecisionOverflow, match=r"degree above 2\^20000 "):
+        required_precision(2**20000, 1.5, Fraction(1, 2**40), 8)
 
 
 def test_required_precision_validation():
@@ -188,3 +200,4 @@ def test_unitpoint_validation():
 def test_circle_dist_wraps():
     assert circle_dist(Fraction(1, 10), Fraction(9, 10)) == Fraction(1, 5)
     assert circle_dist(Fraction(1, 2), Fraction(1, 2)) == 0
+

@@ -217,6 +217,20 @@ def test_find_n1_rejects_kronecker_and_bad_bounds():
 # full reports
 # ---------------------------------------------------------------------------
 
+def test_report_rejects_bad_bounds_before_condition_one(monkeypatch):
+    import ppclab.hypothesis as hyp
+
+    def never(*args):
+        raise AssertionError("condition (1) ran before the bounds check")
+
+    monkeypatch.setattr(hyp, "check_condition1", never)
+    for fam in ("monomial:k=2", "kronecker"):
+        for bounds in ({"n1_search_max": 1}, {"n_max": 1}, {"grid_size": 2},
+                       {"n1_search_max": 50, "n2_verify_max": 50}):
+            with pytest.raises(ValueError, match="must be|need 2"):
+                check_hypotheses(parse_family(fam), AB, **bounds)
+
+
 def test_report_monomial_all_holds():
     rep = check_hypotheses(parse_family("monomial:k=2"), AB)
     assert [v.status for v in rep.conditions] == [HOLDS] * 5

@@ -240,6 +240,30 @@ def test_level_cap():
         level_set_measure(PowerMap(120), wide, CircleInterval.arc(0, 1), TOL)
     with pytest.raises(LevelCapExceeded):
         preimage_intervals(PowerMap(120), wide, Fraction(1, 10), TOL)
+    # 1.2^78 - 1.1^78 is about 1.5e6 levels: inside the float pre-check's
+    # factor-2 margin, so the exact level count rejects it
+    with pytest.raises(LevelCapExceeded):
+        level_set_measure(PowerMap(78), AB, CircleInterval.arc(0, 1), TOL)
+    with pytest.raises(LevelCapExceeded):
+        preimage_intervals(PowerMap(78), AB, Fraction(1, 10), TOL)
+
+
+def test_level_cap_rejects_far_degrees_before_exact_powers(monkeypatch):
+    def never(self, x):
+        raise AssertionError("exact value computed past the cap")
+
+    monkeypatch.setattr(PowerMap, "value", never)
+    monkeypatch.setattr(DifferenceMap, "value", never)
+    target = CircleInterval.arc(0, Fraction(1, 4))
+    far = (PowerMap(56000), PowerMap(10**9), PowerMap(2**2000),
+           DifferenceMap(parse_family("monomial:k=30"), 1, 2),
+           DifferenceMap(parse_family("geomsum:k=30"), 1, 2),
+           DifferenceMap(parse_family("monomial:k=1100"), 1, 2))
+    for g in far:
+        with pytest.raises(LevelCapExceeded):
+            level_set_measure(g, AB, target, TOL)
+        with pytest.raises(LevelCapExceeded):
+            preimage_intervals(g, AB, Fraction(1, 10), TOL)
 
 
 class _Decreasing:
@@ -248,6 +272,9 @@ class _Decreasing:
 
     def derivative(self, x):
         return -1.0
+
+    def lead(self, x):
+        return 0, 2 - x
 
 
 def test_non_monotone_detected():

@@ -7,6 +7,7 @@ from ppclab.families import parse_family, orbit
 from ppclab.hpreal import UnitPoint, parse_alpha
 from ppclab.paircorr import (
     TooBlurry,
+    check_resolution,
     gap_spectrum,
     naive_pair_count,
     pair_count,
@@ -134,6 +135,18 @@ def test_ppc_curve_validation():
         ppc_curve(fam, alpha, Fraction(3, 10), [100], 0.01)
 
 
+def test_check_resolution():
+    assert check_resolution("0.3", Fraction(1, 10**6), 100) == (
+        Fraction(3, 10), Fraction(1, 10**6))
+    # the bound itself is allowed
+    assert check_resolution(1, Fraction(1, 10**4), 100)[1] == Fraction(1, 10**4)
+    for s, delta, n_max in ((0, 2.0**-40, 10), (-1, 2.0**-40, 10),
+                            (1, 0, 10), (1, Fraction(1, 4), 10),
+                            (1, Fraction(1, 10**4) + Fraction(1, 10**12), 100)):
+        with pytest.raises(ValueError):
+            check_resolution(s, delta, n_max)
+
+
 # ---------------------------------------------------------------------------
 # discrepancy and gaps
 # ---------------------------------------------------------------------------
@@ -229,3 +242,10 @@ def test_read_points_rejects_bad_input(tmp_path):
     empty.write_text("", encoding="ascii")
     with pytest.raises(ValueError):
         read_points(empty)
+
+    for i, line in enumerate(("1/0", "1e999999999", "NaN", "-Infinity")):
+        bad_line = tmp_path / ("e%d.txt" % i)
+        bad_line.write_text("# ppc-points v1 N=1\n%s\n" % line,
+                            encoding="ascii")
+        with pytest.raises(ValueError):
+            read_points(bad_line)
