@@ -14,8 +14,10 @@ owns the value; this module only turns flag text into values and adds the
 rules of the command line itself (N >= 2, flag combinations).  `main` maps
 errors in one place: PrecisionOverflow and IndeterminateFrac exit 2 as
 "precision"; TooBlurry, LevelCapExceeded and NonMonotone exit 2 as "numeric";
-any other ValueError, wherever it is raised, is a usage error and exits 1,
-so library messages never print an unbounded int in full.  Every emitted
+a broken second-moment worker pool exits 2 as "worker"; any other ValueError,
+wherever it is raised, is a usage error and exits 1, so library messages
+never print an unbounded int in full.  An --out file that cannot be written
+is the one usage error reported after the computation.  Every emitted
 artifact embeds the run configuration so it can be replayed byte for byte;
 the output path and thread count are deliberately left out of that block so
 replays to a different location, or with different parallelism, compare equal.
@@ -28,6 +30,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -472,9 +475,12 @@ _HANDLERS = {
 def _emit(out: str | None, payload: str) -> None:
     if out is None:
         sys.stdout.write(payload)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
+    except OSError as exc:
+        raise _UsageError("--out: %s" % exc) from None
 
 
 def _fail(doc: dict, code: int) -> int:
@@ -487,7 +493,7 @@ def main(argv=None) -> int:
         ns = build_parser().parse_args(argv)
         if ns.threads < 1:
             raise _UsageError("--threads must be >= 1")
-        payload = _HANDLERS[ns.cmd](ns)
+        _emit(ns.out, _HANDLERS[ns.cmd](ns))
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (None, 0) else int(exc.code)
     except (PrecisionOverflow, IndeterminateFrac) as exc:
@@ -497,9 +503,10 @@ def main(argv=None) -> int:
     # they are caught before the usage clause
     except (LevelCapExceeded, NonMonotone, TooBlurry) as exc:
         return _fail({"error": "numeric", "detail": str(exc)}, 2)
+    except BrokenProcessPool as exc:  # a second-moment worker died
+        return _fail({"error": "worker", "detail": str(exc)}, 2)
     except ValueError as exc:  # _UsageError and every library input rule
         return _fail({"error": "usage", "detail": str(exc)}, 1)
-    _emit(ns.out, payload)
     return 0
 
 

@@ -16,13 +16,17 @@ Layers:
   frac_walk      -- frac(alpha^e) along increasing exponents, one ball walk
   pow_frac       -- frac(alpha^d), the one-exponent walk
 
-Precision policy: frac_walk is the one planner.  It counts the ball
-multiplications of its walk and calls required_precision() once, which sizes
-the working mantissa from the last exponent, an upper bound on alpha, the
-target tolerance and that count, and rejects plans above PREC_BUDGET_BITS
-before any multiplication.  If an enclosure is still wider than the
-tolerance, the walk is retried exactly once at doubled precision, and then
-IndeterminateFrac is raised.
+Precision policy: frac_walk is the one planner.  It splits the exponents
+into segments (_segments) whose integer parts grow by at most SEGMENT_GROWTH
+once past SEGMENT_FLOOR_BITS bits; every segment restarts from 1, so its
+first point is a binary exponentiation.  For each segment it counts the
+roundings of its walk and calls required_precision() once, which sizes the
+working mantissa from the segment's last exponent, an upper bound on alpha,
+the target tolerance and that count, and rejects plans above
+PREC_BUDGET_BITS; every segment is planned before any multiplication.  If an
+enclosure is still wider than the tolerance, that segment is retried exactly
+once at doubled precision, and then IndeterminateFrac is raised with the
+point's orbit index.
 """
 
 from __future__ import annotations
@@ -44,6 +48,14 @@ PREC_BUDGET_BITS = 1 << 30
 
 # Fractional bits of the grid that user alpha literals are rounded to.
 ALPHA_BITS = 128
+
+# Segmentation of frac_walk (see _segments): a walk whose integer parts stay
+# within SEGMENT_FLOOR_BITS bits is one segment; past it, a segment spans a
+# growth of at most SEGMENT_GROWTH in integer-part bits.  Chosen by a sweep of
+# floors 2^12..2^16 and growths 1.25..2 on monomial:k=2 and factorial orbits
+# (CHANGES.md).
+SEGMENT_FLOOR_BITS = 1 << 14
+SEGMENT_GROWTH = 1.5
 
 
 class PrecisionOverflow(Exception):
@@ -462,14 +474,30 @@ def frac_point(ball: Ball, delta) -> UnitPoint:
     return UnitPoint(value, err)
 
 
+def _gap_split(g_prev: int, g: int) -> tuple[int, int]:
+    """How the walk forms alpha^g from the previous gap power alpha^g_prev:
+    (keep, fresh) with g = keep + fresh, keep in {0, g_prev}, and fresh the
+    exponent of a new ball_pow (0: reuse alpha^g_prev as it is)."""
+    if g == g_prev:
+        return g_prev, 0
+    if g_prev < g < 2 * g_prev:
+        return g_prev, g - g_prev
+    return 0, g
+
+
 def _walk(base: Ball, exps, am1: ExactReal | None, prec: int,
-          delta_f: Fraction) -> tuple[UnitPoint, ...]:
-    running = Ball(1, 0)
-    prev = 0
+          delta_f: Fraction, first: int) -> list[UnitPoint]:
+    running = gap_power = Ball(1, 0)
+    prev = g_prev = 0
     out: list[UnitPoint] = []
     for i, e in enumerate(exps):
-        running = ball_mul(running, ball_pow(base, e - prev, prec), prec)
-        prev = e
+        g = e - prev
+        keep, fresh = _gap_split(g_prev, g)
+        if fresh:
+            step = ball_pow(base, fresh, prec)
+            gap_power = ball_mul(gap_power, step, prec) if keep else step
+        running = ball_mul(running, gap_power, prec)
+        prev, g_prev = e, g
         if am1 is None:
             target = running
         else:
@@ -477,8 +505,70 @@ def _walk(base: Ball, exps, am1: ExactReal | None, prec: int,
         try:
             out.append(frac_point(target, delta_f))
         except IndeterminateFrac as err:
-            raise IndeterminateFrac(str(err), index=i + 1) from None
-    return tuple(out)
+            raise IndeterminateFrac(str(err), index=first + i + 1) from None
+    return out
+
+
+def _roundings(exps) -> int:
+    """Roundings that reach the last running product of a walk over `exps`.
+
+    ball_pow(alpha, g) is charged 2*bitlen(g), a kept gap power carries its
+    own charge into the next one, and every step charges its gap power once
+    more plus one for the running product, since each multiply by it brings
+    its error in again.
+    """
+    count = gap_cost = prev = g_prev = 0
+    for e in exps:
+        g = e - prev
+        keep, fresh = _gap_split(g_prev, g)
+        if fresh:
+            gap_cost = (gap_cost + 1 if keep else 0) + 2 * fresh.bit_length()
+        count += gap_cost + 1
+        prev, g_prev = e, g
+    return count
+
+
+def _segments(exps, alpha_upper: float) -> list[tuple[int, int]]:
+    """Split exps into consecutive [start, stop) index ranges.
+
+    A segment ends before the first exponent whose integer part needs more
+    than max(SEGMENT_FLOOR_BITS, SEGMENT_GROWTH * b0) bits, b0 being the
+    bits of the segment's first exponent; so a walk whose last exponent
+    needs at most SEGMENT_FLOOR_BITS bits is one segment.
+    """
+    lg = math.log2(alpha_upper)
+    starts = []
+    limit = -1.0
+    for i, e in enumerate(exps):
+        try:
+            bits = e * lg
+        except OverflowError:  # e beyond the float range: over budget anyway
+            bits = math.inf
+        if bits > limit:
+            starts.append(i)
+            limit = max(SEGMENT_FLOOR_BITS, SEGMENT_GROWTH * bits)
+    return list(zip(starts, starts[1:] + [len(exps)]))
+
+
+def _plan(alpha: ExactReal, exps, delta_f: Fraction,
+          geometric: bool) -> list[tuple[int, int, int]]:
+    """(start, stop, prec) per segment, every plan checked before any
+    multiply; a segment restarts from 1, so its first step is the binary
+    exponentiation of its first exponent."""
+    au = alpha.upper_float()
+    extra = 0
+    if geometric:
+        # dividing by alpha - 1 magnifies absolute error by 1/(alpha - 1)
+        extra = _ceil_log2_inv(min(alpha.as_fraction() - 1, Fraction(1))) + 4
+    plans = []
+    for start, stop in _segments(exps, au):
+        seg = exps[start:stop]
+        mults = 2 + _roundings(seg)  # 2: the trailing subtraction/division
+        if geometric:
+            mults += 2 * len(seg)
+        prec = required_precision(seg[-1], au, delta_f, mults) + extra
+        plans.append((start, stop, prec))
+    return plans
 
 
 def frac_walk(alpha: ExactReal, exps, delta,
@@ -486,38 +576,35 @@ def frac_walk(alpha: ExactReal, exps, delta,
     """frac(alpha^e) for each e of a strictly increasing exponent list.
 
     With `geometric` the points are frac((alpha^e - 1)/(alpha - 1)) instead,
-    i.e. of 1 + alpha + ... + alpha^(e-1).  One incremental pass in ball
-    arithmetic: the running power advances by one multiplication with
-    alpha^(gap), itself from binary exponentiation, so a single exponent is
-    plain binary exponentiation of the full degree.  Precision is fixed
-    upfront from the last exponent and the multiplication count, with one
-    automatic retry at doubled precision; after that IndeterminateFrac
-    carries the 1-based index of the first uncertified point.
+    i.e. of 1 + alpha + ... + alpha^(e-1).  The exponents are walked in
+    segments (see _segments); each starts from 1 and advances a running power
+    by one multiplication with alpha^(gap) per exponent.  The gap power is
+    reused when the gap repeats, grown as alpha^g_prev * alpha^(g - g_prev)
+    when g_prev < g < 2 g_prev, and otherwise computed by binary
+    exponentiation, so a single exponent is plain binary exponentiation of
+    the full degree.  Each segment's precision is fixed upfront from its last
+    exponent and its rounding count, with one automatic retry of that segment
+    at doubled precision; after that IndeterminateFrac carries the 1-based
+    orbit index of the first uncertified point.
     """
     delta_f = check_delta(delta)
-    af = alpha.as_fraction()
-    if af <= 1:
+    exps = list(exps)
+    if alpha.as_fraction() <= 1:
         raise ValueError("alpha must exceed 1")
-    mults = 2  # the trailing subtraction/division rounding slack
-    prev = 0
-    for e in exps:
-        if e <= prev:
-            raise ValueError("exponents must be >= 1 and strictly increasing")
-        mults += 2 * (e - prev).bit_length() + 1
-        prev = e
+    if not exps or exps[0] < 1 or any(a >= b for a, b in zip(exps, exps[1:])):
+        raise ValueError("exponents must be >= 1 and strictly increasing")
     am1 = None
-    extra = 0
     if geometric:
-        am1 = ExactReal.from_fraction(af - 1)
-        mults += 2 * len(exps)
-        # dividing by alpha - 1 magnifies absolute error by 1/(alpha - 1)
-        extra = _ceil_log2_inv(min(af - 1, Fraction(1))) + 4
-    prec = required_precision(prev, alpha.upper_float(), delta_f, mults) + extra
+        am1 = ExactReal.from_fraction(alpha.as_fraction() - 1)
     base = Ball.from_exact(alpha)
-    try:
-        return _walk(base, exps, am1, prec, delta_f)
-    except IndeterminateFrac:
-        return _walk(base, exps, am1, 2 * prec, delta_f)
+    out: list[UnitPoint] = []
+    for start, stop, prec in _plan(alpha, exps, delta_f, geometric):
+        seg = exps[start:stop]
+        try:
+            out += _walk(base, seg, am1, prec, delta_f, start)
+        except IndeterminateFrac:
+            out += _walk(base, seg, am1, 2 * prec, delta_f, start)
+    return tuple(out)
 
 
 def pow_frac(alpha: ExactReal, d: int, delta) -> UnitPoint:

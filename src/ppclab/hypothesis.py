@@ -36,6 +36,10 @@ FAILS = "fails"
 SAMPLED = "sampled-holds"
 SKIPPED = "skipped"
 
+# Largest n2_verify_max: the condition (5) scan is O(n2^2) (about 0.2 s at
+# the default 500 and 15 s at 4000 on a 2-CPU host without gmpy2).
+N2_VERIFY_CAP = 5000
+
 # families whose differences are plain two-term monomial differences,
 # increasing and convex on (1, inf) by inspection of the derivatives
 _CLOSED_FORM_CONVEX = ("monomial", "factorial", "linpow")
@@ -297,9 +301,10 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
         raise ValueError("n_max must be >= 2")
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
-    if not 2 <= n1_search_max < n2_verify_max:
-        raise ValueError("need 2 <= n1_search_max < n2_verify_max, got %d and %d"
-                         % (n1_search_max, n2_verify_max))
+    if not 2 <= n1_search_max < n2_verify_max <= N2_VERIFY_CAP:
+        raise ValueError("need 2 <= n1_search_max < n2_verify_max <= %d, "
+                         "got %d and %d" % (N2_VERIFY_CAP, n1_search_max,
+                                            n2_verify_max))
     v1 = check_condition1(family, n_max)
     if family.kind == "kronecker":
         skip = Verdict(SKIPPED, {"reason": "degree-growth conditions do not "

@@ -32,6 +32,10 @@ from ppclab.paircorr import check_resolution, pair_count
 
 _MASK64 = (1 << 64) - 1
 
+# Most quadrature nodes a sweep may ask for.  Nodes are built before any
+# work and each costs one orbit; criterion 8 uses 32 and the CLI default is 16.
+K_MAX = 4096
+
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
     """First `count` outputs of SplitMix64 seeded with `seed`."""
@@ -57,8 +61,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.mode not in ("midpoint", "random"):
             raise ValueError("mode must be 'midpoint' or 'random'")
-        if self.K < 2:
-            raise ValueError("need at least 2 nodes")
+        if not 2 <= self.K <= K_MAX:
+            raise ValueError("K must lie in [2, %d], got %d" % (K_MAX, self.K))
         if not 0 <= self.seed <= _MASK64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -109,27 +113,31 @@ def _pool_size(threads: int, jobs: int, cpus: int) -> int:
     return max(1, min(threads, jobs, cpus))
 
 
+def _columns(results) -> list[list[float]]:
+    """Drain per-node results in node order; a precision failure names its
+    node and keeps the orbit index of the point it could not certify."""
+    columns: list[list[float]] = []
+    try:
+        for column in results:
+            columns.append(column)
+    except IndeterminateFrac as exc:
+        raise IndeterminateFrac("node %d: %s" % (len(columns), exc),
+                                exc.index) from exc
+    except PrecisionOverflow as exc:
+        raise PrecisionOverflow("node %d: %s" % (len(columns), exc)) from exc
+    return columns
+
+
 def _run_nodes(family: SequenceFamily, alphas: Sequence[ExactReal],
                n_list: Sequence[int], s: Fraction, delta: Fraction,
                threads: int) -> list[list[float]]:
     jobs = [(family, alpha, list(n_list), s, delta) for alpha in alphas]
-    columns: list[list[float]] = []
     workers = _pool_size(threads, len(jobs), _usable_cpus())
     if workers == 1:
-        for i, job in enumerate(jobs):
-            try:
-                columns.append(_node_stats(job))
-            except (IndeterminateFrac, PrecisionOverflow) as exc:
-                raise type(exc)("node %d: %s" % (i, exc)) from exc
-        return columns
+        return _columns(_node_stats(job) for job in jobs)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_node_stats, job) for job in jobs]
-        for i, fut in enumerate(futures):
-            try:
-                columns.append(fut.result())
-            except (IndeterminateFrac, PrecisionOverflow) as exc:
-                raise type(exc)("node %d: %s" % (i, exc)) from exc
-    return columns
+        return _columns(fut.result() for fut in futures)
 
 
 def _alphas_for(interval: IntervalSpec, quad: QuadratureSpec) -> list[ExactReal]:

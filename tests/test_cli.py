@@ -391,12 +391,100 @@ def test_stdout_matches_file_output(tmp_path, capsys):
      "--n1-max", "1", "--n2-max", "5"],
     ["hypothesis", "--family", "kronecker", "--a", "1.5", "--b", "2",
      "--n1-max", "1"],
+    ["orbit", "--family", "linpow", "--alpha", "1.5", "--N", "3",
+     "--out", "/nonexistent/dir/x.txt"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     usage_error(err)
+
+
+def test_unwritable_out_names_the_flag(tmp_path, capsys):
+    code, out, err = run(capsys, "orbit", "--family", "linpow", "--alpha",
+                         "1.5", "--N", "3", "--out",
+                         str(tmp_path / "absent" / "x.txt"))
+    assert code == 1 and out == ""
+    assert usage_error(err)["detail"].startswith("--out: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--s", "1", "--N", "10", "--K", "100000000", "--threads", "1"],
+    ["hypothesis", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--n2-max", "100000000"],
+])
+def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
+                                                       argv):
+    import ppclab.hypothesis as hyp
+    import ppclab.secondmoment as sm
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the bounds check")
+
+    monkeypatch.setattr(sm, "ProcessPoolExecutor", never)
+    monkeypatch.setattr(sm, "quadrature_nodes", never)
+    monkeypatch.setattr(hyp, "check_condition1", never)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    usage_error(err)
+
+
+_SECOND_MOMENT = ["second-moment", "--family", "linpow", "--a", "1.5",
+                  "--b", "1.6", "--s", "1", "--N-list", "40,80", "--K", "2"]
+
+
+def test_second_moment_failure_keeps_the_orbit_index(monkeypatch, capsys):
+    from ppclab import hpreal
+    from ppclab.families import orbit, parse_family
+    from ppclab.secondmoment import default_delta
+
+    # 40 bits, 80 after the doubling, certify the first few dozen linpow
+    # points only
+    monkeypatch.setattr(hpreal, "required_precision", lambda *args: 40)
+    with pytest.raises(hpreal.IndeterminateFrac) as info:
+        orbit(parse_family("linpow"),
+              hpreal.parse_alpha("1.525", hpreal.ALPHA_BITS),  # node 0
+              80, default_delta(1, 80))
+    assert info.value.index > 1
+    code, out, err = run(capsys, *_SECOND_MOMENT, "--threads", "1")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "precision"
+    assert doc["detail"].startswith("node 0: ")
+    assert doc["index"] == info.value.index
+
+
+def test_broken_worker_pool_is_one_json_line(monkeypatch, capsys):
+    from concurrent.futures.process import BrokenProcessPool
+
+    import ppclab.secondmoment as sm
+
+    class BrokenPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            return self
+
+        def result(self):
+            raise BrokenProcessPool("a worker process died")
+
+    monkeypatch.setattr(sm, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(sm, "_usable_cpus", lambda: 2)
+    code, out, err = run(capsys, *_SECOND_MOMENT, "--threads", "2")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "worker",
+                                    "detail": "a worker process died"}
 
 
 def test_missing_input_file_is_usage_error(tmp_path, capsys):

@@ -268,6 +268,167 @@ def test_far_too_small_plan_raises_with_index(monkeypatch, case):
 
 
 # ---------------------------------------------------------------------------
+# the segmented walk: per-segment plans and retries, incremental gap powers
+# ---------------------------------------------------------------------------
+
+
+def _exps(family, N):
+    return [d + 1 if family == GEO2 else d
+            for d in (degree(family, n) for n in range(1, N + 1))]
+
+
+def _oracle(family, n):
+    if family == GEO2:
+        return geomsum_oracle(ALPHA18.as_fraction(), n * n) % 1
+    return dyadic_frac_power(ALPHA18, n * n)
+
+
+@pytest.mark.parametrize("family", [MON2, GEO2])
+def test_segmented_walk_encloses_the_exact_values(monkeypatch, family):
+    # a 16-bit floor splits the 12 exponents at alpha = 1.8 into 5 segments
+    monkeypatch.setattr(hpreal, "SEGMENT_FLOOR_BITS", 16)
+    segments = hpreal._segments(_exps(family, 12), ALPHA18.upper_float())
+    assert len(segments) >= 3
+    assert segments[0][0] == 0 and segments[-1][1] == 12
+    assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
+    points = orbit(family, ALPHA18, 12, DELTA).points
+    for n, got in enumerate(points, start=1):
+        assert got.error <= DELTA
+        assert circle_dist(got.value, _oracle(family, n)) <= Fraction(got.error)
+
+
+def test_short_walk_is_one_segment():
+    exps = _exps(MON2, 130)  # 130^2 * log2(1.8) < 2^14 integer bits
+    assert hpreal._segments(exps, ALPHA18.upper_float()) == [(0, 130)]
+
+
+def test_segment_layout_frozen():
+    # monomial:k=2, alpha = 1.5, N = 1000: (start, stop, precision) per
+    # segment; a change here changes the midpoints of every long orbit
+    exps = _exps(MON2, 1000)
+    assert hpreal._plan(parse_alpha("1.5", 128), exps, DELTA, False) == [
+        (0, 167, 16388), (167, 205, 24652), (205, 252, 37217),
+        (252, 309, 55923), (309, 379, 84095), (379, 465, 126555),
+        (465, 570, 190126), (570, 699, 285886), (699, 857, 429698),
+        (857, 1000, 585035)]
+
+
+def _undersize_third_segment(monkeypatch, shrink):
+    """Split the 12 monomial exponents at alpha = 1.8 into segments and pass
+    only the third segment's plan through `shrink`; return the segments,
+    the failed enclosures and the (first index, precision) of every walk."""
+    monkeypatch.setattr(hpreal, "SEGMENT_FLOOR_BITS", 16)
+    exps = _exps(MON2, 12)
+    segments = hpreal._segments(exps, ALPHA18.upper_float())
+    start, stop = segments[2]
+    assert stop - start > 1
+    failures = _replan(monkeypatch, lambda bits: bits)
+    planner = hpreal.required_precision
+    monkeypatch.setattr(
+        hpreal, "required_precision",
+        lambda d, *rest: (shrink(planner(d, *rest)) if d == exps[stop - 1]
+                          else planner(d, *rest)))
+    walk, walks = hpreal._walk, []
+
+    def recorded(base, exps, am1, prec, delta_f, first):
+        walks.append((first, prec))
+        return walk(base, exps, am1, prec, delta_f, first)
+
+    monkeypatch.setattr(hpreal, "_walk", recorded)
+    return segments, failures, walks
+
+
+def test_undersized_later_segment_is_retried_alone(monkeypatch):
+    segments, failures, walks = _undersize_third_segment(
+        monkeypatch, lambda bits: (bits + 1) // 2)
+    points = orbit(MON2, ALPHA18, 12, DELTA).points
+    for n, got in enumerate(points, start=1):
+        assert circle_dist(got.value, _oracle(MON2, n)) <= Fraction(got.error)
+    assert len(failures) == 1
+    starts = [first for first, _ in segments]
+    assert [first for first, _ in walks] == starts[:3] + starts[2:]
+    assert walks[3][1] == 2 * walks[2][1]  # the one retry doubles its plan
+
+
+def test_far_too_small_later_segment_raises_with_global_index(monkeypatch):
+    segments, failures, walks = _undersize_third_segment(monkeypatch,
+                                                         lambda bits: 8)
+    with pytest.raises(IndeterminateFrac) as info:
+        orbit(MON2, ALPHA18, 12, DELTA)
+    start = segments[2][0]
+    assert info.value.index == start + 1  # the orbit's 1-based index
+    assert len(failures) == 2
+    assert walks[2:] == [(start, 8), (start, 16)]
+
+
+def test_every_segment_is_planned_before_any_multiply(monkeypatch):
+    monkeypatch.setattr(hpreal, "SEGMENT_FLOOR_BITS", 16)
+    planner, events = hpreal.required_precision, []
+
+    def planned(d, *rest):
+        events.append("plan")
+        return planner(d, *rest)
+
+    def multiplied(*args):
+        events.append("mul")
+        raise AssertionError("multiply before the last plan")
+
+    monkeypatch.setattr(hpreal, "required_precision", planned)
+    monkeypatch.setattr(hpreal, "ball_mul", multiplied)
+    with pytest.raises(AssertionError):
+        orbit(MON2, ALPHA18, 12, DELTA)
+    segments = hpreal._segments(_exps(MON2, 12), ALPHA18.upper_float())
+    assert events == ["plan"] * len(segments) + ["mul"]
+    # and a segment beyond the budget stops the walk before its first multiply
+    monkeypatch.setattr(hpreal, "required_precision", planner)
+    with pytest.raises(PrecisionOverflow):
+        orbit(FACT, ALPHA18, 13, DELTA)
+
+
+def test_pow_frac_plan_is_the_binary_exponentiation_of_the_degree(monkeypatch):
+    planner, plans, pows = hpreal.required_precision, [], []
+    power = hpreal.ball_pow
+
+    def planned(*args):
+        plans.append(args)
+        return planner(*args)
+
+    def powered(base, d, prec):
+        pows.append((d, prec))
+        return power(base, d, prec)
+
+    monkeypatch.setattr(hpreal, "required_precision", planned)
+    monkeypatch.setattr(hpreal, "ball_pow", powered)
+    for d in (1, 144, 10**5):
+        plans.clear()
+        pows.clear()
+        pow_frac(ALPHA18, d, DELTA)
+        # one plan: the rounding slack 2 plus 2*bitlen(d) + 1 multiplies
+        assert plans == [(d, ALPHA18.upper_float(), DELTA,
+                          2 + 2 * d.bit_length() + 1)]
+        assert pows == [(d, planner(*plans[0]))]
+
+
+@pytest.mark.parametrize("prec", [64, 4096])
+def test_gap_powers_are_reused_and_grown_inside_a_segment(monkeypatch, prec):
+    base = hpreal.Ball.from_exact(ALPHA18)
+    pows = []
+    power = hpreal.ball_pow
+
+    def powered(b, d, p):
+        pows.append(d)
+        return power(b, d, p)
+
+    monkeypatch.setattr(hpreal, "ball_pow", powered)
+    exps = [1, 4, 9, 16, 20, 24, 28, 60]  # gaps 1, 3, 5, 7, 4, 4, 4, 32
+    points = hpreal._walk(base, exps, None, prec, Fraction(1, 4), 0)
+    # 3 < 2*1 fails: fresh; 5 and 7 grow by alpha^2; 4 is fresh, then reused
+    assert pows == [1, 3, 2, 2, 4, 32]
+    for e, got in zip(exps, points):
+        assert circle_dist(got.value, dyadic_frac_power(ALPHA18, e)) <= Fraction(got.error)
+
+
+# ---------------------------------------------------------------------------
 # differences
 # ---------------------------------------------------------------------------
 

@@ -8,6 +8,7 @@ from ppclab.families import FamilyError, degree, diff_over_lead, parse_family
 from ppclab.hypothesis import (
     FAILS,
     HOLDS,
+    N2_VERIFY_CAP,
     SAMPLED,
     SKIPPED,
     IntervalSpec,
@@ -229,6 +230,19 @@ def test_report_rejects_bad_bounds_before_condition_one(monkeypatch):
                        {"n1_search_max": 50, "n2_verify_max": 50}):
             with pytest.raises(ValueError, match="must be|need 2"):
                 check_hypotheses(parse_family(fam), AB, **bounds)
+
+
+def test_report_caps_the_condition5_scan(monkeypatch):
+    import ppclab.hypothesis as hyp
+
+    def never(*args):
+        raise AssertionError("condition (1) ran before the bounds check")
+
+    assert N2_VERIFY_CAP > 500  # the default n2_verify_max
+    monkeypatch.setattr(hyp, "check_condition1", never)
+    for n2 in (N2_VERIFY_CAP + 1, 100_000_000):
+        with pytest.raises(ValueError, match="n2_verify_max <= %d" % N2_VERIFY_CAP):
+            check_hypotheses(parse_family("linpow"), AB, n2_verify_max=n2)
 
 
 def test_report_monomial_all_holds():

@@ -11,6 +11,7 @@ from ppclab.hpreal import PrecisionOverflow, parse_alpha
 from ppclab.hypothesis import IntervalSpec
 from ppclab.paircorr import pair_count
 from ppclab.secondmoment import (
+    K_MAX,
     QuadratureSpec,
     _pool_size,
     decay_fit,
@@ -46,6 +47,15 @@ def test_splitmix64_seed_validation():
         splitmix64_stream(-1, 1)
     with pytest.raises(ValueError):
         splitmix64_stream(2**64, 1)
+
+
+def test_quadrature_spec_caps_the_node_count():
+    assert K_MAX > 32  # criterion 8 uses 32 nodes
+    assert QuadratureSpec("midpoint", K_MAX).K == K_MAX
+    with pytest.raises(ValueError, match="K must lie in"):
+        QuadratureSpec("midpoint", K_MAX + 1)
+    with pytest.raises(ValueError, match="K must lie in"):
+        QuadratureSpec("random", 100_000_000)
 
 
 def test_quadrature_spec_validation():
