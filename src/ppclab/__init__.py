@@ -4,127 +4,10 @@ Tools to compute fractional-part orbits frac(f_n(alpha)) with certified error,
 measure their pair correlations and discrepancy, check the growth/convexity
 hypotheses under which Poissonian pair correlations are expected, and study
 the interval structure behind the variance estimates.
+
+Every name is imported from the module that owns it (ppclab.hpreal,
+ppclab.families, ...); the package itself exports only __version__, so
+importing one module loads only what that module needs.
 """
 
-from ppclab.hpreal import (
-    ExactReal,
-    IndeterminateFrac,
-    PrecisionOverflow,
-    UnitPoint,
-    circle_dist,
-    parse_alpha,
-    pow_frac,
-    required_precision,
-)
-from ppclab.families import (
-    FamilyError,
-    Orbit,
-    SequenceFamily,
-    degree,
-    orbit,
-    parse_family,
-)
-from ppclab.paircorr import (
-    DiscrepancyResult,
-    PairCorrelationResult,
-    TooBlurry,
-    gap_spectrum,
-    naive_pair_count,
-    pair_count,
-    ppc_curve,
-    read_points,
-    star_discrepancy,
-    write_points,
-)
-from ppclab.hypothesis import (
-    HypothesisReport,
-    IntervalSpec,
-    N1Result,
-    Verdict,
-    check_hypotheses,
-    condition5_lhs,
-    estimate_constants,
-    find_N1,
-    report_to_json,
-)
-from ppclab.measure import (
-    CircleInterval,
-    DifferenceMap,
-    LemmaBounds,
-    LevelCapExceeded,
-    MeasureResult,
-    NonMonotone,
-    PowerMap,
-    lemma_bounds_check,
-    level_set_measure,
-    measure_to_json,
-    preimage_intervals,
-)
-from ppclab.secondmoment import (
-    QuadratureSpec,
-    SecondMomentSeries,
-    decay_fit,
-    quadrature_nodes,
-    second_moment_series,
-    series_to_csv,
-    series_to_json,
-    splitmix64_stream,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CircleInterval",
-    "DifferenceMap",
-    "DiscrepancyResult",
-    "ExactReal",
-    "FamilyError",
-    "HypothesisReport",
-    "IndeterminateFrac",
-    "IntervalSpec",
-    "LemmaBounds",
-    "LevelCapExceeded",
-    "MeasureResult",
-    "N1Result",
-    "NonMonotone",
-    "Orbit",
-    "PairCorrelationResult",
-    "PowerMap",
-    "PrecisionOverflow",
-    "QuadratureSpec",
-    "SecondMomentSeries",
-    "SequenceFamily",
-    "TooBlurry",
-    "UnitPoint",
-    "Verdict",
-    "check_hypotheses",
-    "circle_dist",
-    "condition5_lhs",
-    "decay_fit",
-    "degree",
-    "estimate_constants",
-    "find_N1",
-    "gap_spectrum",
-    "lemma_bounds_check",
-    "level_set_measure",
-    "measure_to_json",
-    "naive_pair_count",
-    "orbit",
-    "pair_count",
-    "parse_alpha",
-    "parse_family",
-    "pow_frac",
-    "ppc_curve",
-    "preimage_intervals",
-    "quadrature_nodes",
-    "read_points",
-    "report_to_json",
-    "required_precision",
-    "second_moment_series",
-    "series_to_csv",
-    "series_to_json",
-    "splitmix64_stream",
-    "star_discrepancy",
-    "write_points",
-    "__version__",
-]

@@ -17,7 +17,12 @@ errors in one place: PrecisionOverflow and IndeterminateFrac exit 2 as
 a broken second-moment worker pool exits 2 as "worker"; any other ValueError,
 wherever it is raised, is a usage error and exits 1, so library messages
 never print an unbounded int in full.  An --out file that cannot be written
-is the one usage error reported after the computation.  Every emitted
+is the one usage error reported after the computation.
+
+Caps, each checked before any work: a number literal's decimal exponent
+(hpreal.LITERAL_EXP_CAP, 4300), orbit points (families.ORBIT_N_CAP, 100000),
+--n-max, --grid-size and --n2-max of hypothesis (20, 256, 5000), --tol of
+measure ([1e-30, 1e-6]) and --K of second-moment (4096).  Every emitted
 artifact embeds the run configuration so it can be replayed byte for byte;
 the output path and thread count are deliberately left out of that block so
 replays to a different location, or with different parallelism, compare equal.
@@ -36,7 +41,13 @@ from fractions import Fraction
 
 from ppclab import __version__
 from ppclab.families import orbit, parse_family
-from ppclab.hpreal import ALPHA_BITS, IndeterminateFrac, PrecisionOverflow, parse_alpha
+from ppclab.hpreal import (
+    ALPHA_BITS,
+    IndeterminateFrac,
+    PrecisionOverflow,
+    check_literal,
+    parse_alpha,
+)
 from ppclab.hypothesis import IntervalSpec, check_hypotheses, report_to_json
 from ppclab.measure import (
     CircleInterval,
@@ -124,9 +135,9 @@ class RunConfig:
 
 def _frac(text: str, flag: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise _UsageError("%s: not a number: %r" % (flag, text)) from None
+        return check_literal(text)
+    except ValueError as exc:
+        raise _UsageError("%s: %s" % (flag, exc)) from None
 
 
 def _interval(ns) -> IntervalSpec:
@@ -410,9 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="interval left endpoint (> 1)")
     p.add_argument("--b", required=True, help="interval right endpoint")
     p.add_argument("--n-max", type=int, default=8, dest="n_max",
-                   help="indices checked for degree growth (default 8)")
+                   help="indices checked for degree growth (default 8, "
+                        "max 20)")
     p.add_argument("--grid-size", type=int, default=64, dest="grid_size",
-                   help="grid for sampled constants (default 64)")
+                   help="grid for sampled constants (default 64, max 256)")
     p.add_argument("--n1-max", type=int, default=200, dest="n1_max",
                    help="search bound for N1 (default 200)")
     p.add_argument("--n2-max", type=int, default=500, dest="n2_max",
@@ -435,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wrap", action="store_true",
                    help="target arc crosses zero")
     p.add_argument("--tol", default="1e-9",
-                   help="endpoint resolution (default 1e-9, max 1e-6)")
+                   help="endpoint resolution (default 1e-9, range "
+                        "[1e-30, 1e-6])")
 
     p = subs.add_parser("second-moment", parents=[shared],
                         formatter_class=_Formatter,

@@ -24,6 +24,14 @@ from ppclab.hpreal import ExactReal, PrecisionOverflow, UnitPoint, check_delta, 
 
 _FACTORIAL_CAP = 20
 
+# Most points one orbit may have, checked before its exponent list or
+# Kronecker walk is built.  The largest orbit any test or workload uses has
+# 5000 points (criterion 4).  linpow at alpha 1.5 took 0.05 s at N=5000,
+# 0.75 s at 5*10^4 and 1.8 s (50 MB peak RSS) at 10^5, and kronecker 1.0 s at
+# 10^5 (2-CPU host, no gmpy2); higher-degree families reach PREC_BUDGET_BITS
+# first.
+ORBIT_N_CAP = 100_000
+
 _KINDS_WITH_K = ("monomial", "geomsum")
 _ALL_KINDS = ("monomial", "geomsum", "factorial", "linpow", "kronecker")
 
@@ -94,26 +102,18 @@ class Orbit:
         return len(self.points)
 
 
-def _kronecker_frac(alpha_frac: Fraction, n: int) -> Fraction:
-    return (n * alpha_frac) % 1
-
-
-def eval_frac(family: SequenceFamily, alpha: ExactReal, n: int, delta) -> UnitPoint:
-    """frac(f_n(alpha)) with certified error <= delta (exact for Kronecker)."""
-    delta_f = check_delta(delta)
-    if n < 1:
-        raise ValueError("index must be >= 1")
-    if family.kind == "kronecker":
-        return UnitPoint(_kronecker_frac(alpha.as_fraction(), n), 0.0)
-    return frac_walk(alpha, [_exponent(family, n)], delta_f,
-                     geometric=family.kind == "geomsum")[0]
-
-
 def _exponent(family: SequenceFamily, n: int) -> int:
     # geometric sum: f_n = (alpha^(d+1) - 1)/(alpha - 1), no mod-1 shortcut
     # exists before the division, so the full power alpha^(d+1) is carried
     d = degree(family, n)
     return d + 1 if family.kind == "geomsum" else d
+
+
+def check_orbit_length(N: int) -> int:
+    """N itself, once it lies in [1, ORBIT_N_CAP]."""
+    if not 1 <= N <= ORBIT_N_CAP:
+        raise ValueError("N must be in [1, %d], got %d" % (ORBIT_N_CAP, N))
+    return N
 
 
 def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
@@ -123,8 +123,7 @@ def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
     f_1 .. f_N; Kronecker orbits are exact rational walks.
     """
     delta_f = check_delta(delta)
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_orbit_length(N)
     if family.kind == "kronecker":
         af = alpha.as_fraction()
         step = af % 1

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 try:
@@ -48,6 +49,12 @@ PREC_BUDGET_BITS = 1 << 30
 
 # Fractional bits of the grid that user alpha literals are rounded to.
 ALPHA_BITS = 128
+
+# Largest |decimal exponent| of a number literal, as Decimal(text).adjusted()
+# counts it: Fraction(text) expands 10^exponent in full, so 1e999999999 would
+# take minutes and gigabytes.  The class of CPython's 4300-digit int/str limit
+# (CVE-2020-10735), which already bounds the digits themselves.
+LITERAL_EXP_CAP = 4300
 
 # Segmentation of frac_walk (see _segments): a walk whose integer parts stay
 # within SEGMENT_FLOOR_BITS bits is one segment; past it, a segment spans a
@@ -185,13 +192,6 @@ class ExactReal:
         return cls._canon(num, exp)
 
     @classmethod
-    def from_float(cls, value: float) -> "ExactReal":
-        if not math.isfinite(value):
-            raise ValueError("not finite: %r" % value)
-        num, den = value.as_integer_ratio()
-        return cls._canon(num, -(den.bit_length() - 1))
-
-    @classmethod
     def _canon(cls, num: int, exp: int) -> "ExactReal":
         if num == 0:
             return cls(0, 0)
@@ -214,10 +214,6 @@ class ExactReal:
         f = float(self)
         return math.nextafter(f, math.inf)
 
-    @property
-    def mantissa_bits(self) -> int:
-        return self.num.bit_length()
-
 
 def parse_alpha(text: str, bits: int) -> ExactReal:
     """Parse a decimal literal to the nearest dyadic on a 2^-bits grid.
@@ -228,10 +224,7 @@ def parse_alpha(text: str, bits: int) -> ExactReal:
     """
     if bits < 8:
         raise ValueError("bits must be >= 8, got %d" % bits)
-    try:
-        x = Fraction(text)
-    except (ValueError, ZeroDivisionError) as e:
-        raise ValueError("not a decimal literal: %r" % text) from e
+    x = check_literal(text)
     if x <= 1:
         raise ValueError("alpha must exceed 1, got %s" % text)
     scaled = round(x * (1 << bits))
@@ -239,6 +232,29 @@ def parse_alpha(text: str, bits: int) -> ExactReal:
     if value <= 1:
         raise ValueError("alpha rounds to a value <= 1 at %d bits" % bits)
     return ExactReal.from_fraction(value)
+
+
+def check_literal(text: str) -> Fraction:
+    """The exact value of decimal or p/q text ('1.5', '2e-9', '3/2').
+
+    A decimal exponent beyond LITERAL_EXP_CAP is rejected before Fraction(text)
+    runs; p/q text carries no exponent.
+    """
+    try:
+        exponent = Decimal(text).adjusted()
+    except InvalidOperation:
+        # other text Decimal refuses, Fraction refuses too, unless its
+        # exponent is beyond Decimal's own range
+        if "/" not in text:
+            raise ValueError("not a number: %r" % text[:60]) from None
+        exponent = 0
+    if abs(exponent) > LITERAL_EXP_CAP:
+        raise ValueError("decimal exponent of %r beyond +-%d"
+                         % (text[:60], LITERAL_EXP_CAP))
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("not a number: %r" % text[:60]) from None
 
 
 def check_delta(delta) -> Fraction:
@@ -304,16 +320,6 @@ class Ball:
 
     def magnitude_upper(self) -> tuple[int, int]:
         return _r_norm(int(abs(self.man)), self.exp)
-
-    def midpoint_fraction(self) -> Fraction:
-        if self.exp >= 0:
-            return Fraction(int(self.man) << self.exp)
-        return Fraction(int(self.man), 1 << -self.exp)
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return "Ball(%s bits, exp=%d, rad=%s)" % (
-            self.man.bit_length(), self.exp, self.rad,
-        )
 
 
 def _round_mantissa(man, exp: int, prec: int):

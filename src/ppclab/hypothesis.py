@@ -40,6 +40,15 @@ SKIPPED = "skipped"
 # the default 500 and 15 s at 4000 on a 2-CPU host without gmpy2).
 N2_VERIFY_CAP = 5000
 
+# Largest n_max and grid_size.  The exact condition (2) sampling of geomsum
+# costs O(n_max^2 * grid_size) rational powers of degree up to n_max^k; for
+# geomsum:k=2 on [1.5, 2] it took 0.3 s at the defaults (8, 64), 1.0 s at
+# (16, 64), 11 s at (32, 64), 1.8 s at (8, 1024) and 8-9 s at the caps
+# (20, 256) on a 2-CPU host without gmpy2.  n_max 20 is also the factorial
+# degree cap.
+N_MAX_CAP = 20
+GRID_SIZE_CAP = 256
+
 # families whose differences are plain two-term monomial differences,
 # increasing and convex on (1, inf) by inspection of the derivatives
 _CLOSED_FORM_CONVEX = ("monomial", "factorial", "linpow")
@@ -297,10 +306,11 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
 
     All four scan bounds are checked before condition (1) runs.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
+    if not 2 <= n_max <= N_MAX_CAP:
+        raise ValueError("n_max must be in [2, %d], got %d" % (N_MAX_CAP, n_max))
+    if not 3 <= grid_size <= GRID_SIZE_CAP:
+        raise ValueError("grid_size must be in [3, %d], got %d"
+                         % (GRID_SIZE_CAP, grid_size))
     if not 2 <= n1_search_max < n2_verify_max <= N2_VERIFY_CAP:
         raise ValueError("need 2 <= n1_search_max < n2_verify_max <= %d, "
                          "got %d and %d" % (N2_VERIFY_CAP, n1_search_max,

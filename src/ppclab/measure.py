@@ -32,6 +32,12 @@ from ppclab.hypothesis import IntervalSpec
 
 _LEVEL_CAP = 10**6
 _MAX_TOL = Fraction(1, 10**6)
+# Finest tol: each halving adds one bisection step on exact rationals.  The
+# linpow n1=3 n2=12 measure on [1.5, 1.6] took 0.29 s at the default 1e-9,
+# 0.49 s at 1e-30 and 3.1 s at 1e-100 (2-CPU host, no gmpy2).  Results are
+# floats of about 17 digits, so a finer tol adds nothing; below about 1e-308
+# the iteration count's float log2 would overflow.
+_MIN_TOL = Fraction(1, 10**30)
 
 
 class LevelCapExceeded(ValueError):
@@ -159,8 +165,8 @@ class DifferenceMap:
 
 def _validate_tol(tol) -> Fraction:
     tol_frac = Fraction(tol)
-    if not 0 < tol_frac <= _MAX_TOL:
-        raise ValueError("tol must lie in (0, 1e-6]")
+    if not _MIN_TOL <= tol_frac <= _MAX_TOL:
+        raise ValueError("tol must lie in [1e-30, 1e-6]")
     return tol_frac
 
 

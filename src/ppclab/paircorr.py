@@ -25,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from ppclab.families import Orbit, SequenceFamily, orbit
+from ppclab.families import SequenceFamily, orbit
 from ppclab.hpreal import ExactReal, UnitPoint, check_delta
 
 
@@ -228,10 +228,6 @@ def points_text(points: Sequence[UnitPoint], comments: Iterable[str] = ()) -> st
     return "\n".join(lines) + "\n"
 
 
-def write_points(path, points: Sequence[UnitPoint], comments: Iterable[str] = ()) -> None:
-    Path(path).write_text(points_text(points, comments), encoding="ascii")
-
-
 def read_points(path) -> list[UnitPoint]:
     """Parse a ppc-points v1 file; values are exact decimals with error 0."""
     lines = Path(path).read_text(encoding="ascii").splitlines()
@@ -276,5 +272,4 @@ __all__ = [
     "ppc_curve",
     "read_points",
     "star_discrepancy",
-    "write_points",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ppclab.families import SequenceFamily, orbit
+from ppclab.families import SequenceFamily, check_orbit_length, orbit
 from ppclab.hpreal import (
     ALPHA_BITS,
     ExactReal,
@@ -154,7 +154,7 @@ def second_moment_series(family: SequenceFamily, interval: IntervalSpec, s,
     if any(n < 1 for n in N_list):
         raise ValueError("every N must be >= 1")
     n_sorted = sorted(set(int(n) for n in N_list))
-    n_max = n_sorted[-1]
+    n_max = check_orbit_length(n_sorted[-1])
     if delta is None:
         delta = default_delta(s, n_max)
     s_frac, delta_frac = check_resolution(s, delta, n_max)

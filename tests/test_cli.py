@@ -393,6 +393,23 @@ def test_stdout_matches_file_output(tmp_path, capsys):
      "--n1-max", "1"],
     ["orbit", "--family", "linpow", "--alpha", "1.5", "--N", "3",
      "--out", "/nonexistent/dir/x.txt"],
+    # literals whose exact value Fraction(text) would expand for minutes
+    ["orbit", "--family", "linpow", "--alpha", "1e999999999", "--N", "3"],
+    ["orbit", "--family", "linpow", "--alpha", "1.5", "--N", "3",
+     "--delta", "1e-999999999"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N", "10",
+     "--s", "1e999999999"],
+    ["hypothesis", "--family", "linpow", "--a", "1.5",
+     "--b", "2e9999999999999999999999999"],
+    # scans and tolerances beyond their caps
+    ["hypothesis", "--family", "geomsum:k=2", "--a", "1.5", "--b", "2",
+     "--n-max", "40"],
+    ["hypothesis", "--family", "linpow", "--a", "1.5", "--b", "2",
+     "--n-max", "100000000"],
+    ["hypothesis", "--family", "factorial", "--a", "1.5", "--b", "2",
+     "--grid-size", "100000000"],
+    ["measure", "--a", "1.1", "--b", "1.2", "--degree", "2",
+     "--target-c", "0", "--target-d", "0.25", "--tol", "1e-400"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -414,10 +431,27 @@ def test_unwritable_out_names_the_flag(tmp_path, capsys):
      "--s", "1", "--N", "10", "--K", "100000000", "--threads", "1"],
     ["hypothesis", "--family", "linpow", "--a", "1.5", "--b", "1.6",
      "--n2-max", "100000000"],
+    ["hypothesis", "--family", "geomsum:k=2", "--a", "1.5", "--b", "2",
+     "--n-max", "40"],
+    ["hypothesis", "--family", "linpow", "--a", "1.5", "--b", "2",
+     "--n-max", "100000000"],
+    ["hypothesis", "--family", "factorial", "--a", "1.5", "--b", "2",
+     "--grid-size", "100000000"],
+    ["measure", "--a", "1.1", "--b", "1.2", "--degree", "2",
+     "--target-c", "0", "--target-d", "0.25", "--tol", "1e-400"],
+    ["orbit", "--family", "linpow", "--alpha", "1.5", "--N", "100000000"],
+    ["orbit", "--family", "kronecker", "--alpha", "1.6180339887",
+     "--N", "100000000"],
+    ["paircorr", "--family", "kronecker", "--alpha", "1.6180339887",
+     "--N", "100000000", "--s", "1"],
+    ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--s", "1", "--N", "100000000", "--threads", "1"],
 ])
 def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
                                                        argv):
+    import ppclab.families as fam
     import ppclab.hypothesis as hyp
+    import ppclab.measure as ms
     import ppclab.secondmoment as sm
 
     def never(*args, **kwargs):
@@ -426,6 +460,9 @@ def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
     monkeypatch.setattr(sm, "ProcessPoolExecutor", never)
     monkeypatch.setattr(sm, "quadrature_nodes", never)
     monkeypatch.setattr(hyp, "check_condition1", never)
+    monkeypatch.setattr(ms, "_iterations", never)
+    monkeypatch.setattr(fam, "frac_walk", never)
+    monkeypatch.setattr(fam, "UnitPoint", never)  # the Kronecker walk
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     usage_error(err)

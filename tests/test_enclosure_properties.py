@@ -88,7 +88,7 @@ def _radius(r: tuple[int, int]) -> Fraction:
 
 
 def _mid(x: Ball) -> Fraction:
-    return x.midpoint_fraction()
+    return Fraction(int(x.man)) * Fraction(2) ** x.exp
 
 
 def _contains(ball: Ball, value: Fraction) -> bool:

@@ -2,7 +2,10 @@
 
 Oracles: exact rational power sums for the geometric family, exact Fractions
 for small orbits, central finite differences for derivatives, and the
-non-incremental per-index evaluation route against the incremental orbit walk.
+non-incremental per-index route (`single_point`: a one-exponent
+hpreal.frac_walk, i.e. binary exponentiation of the full degree) against the
+incremental orbit walk.  Everything goes through the public functions
+families.orbit, hpreal.frac_walk and hpreal.pow_frac.
 """
 
 from fractions import Fraction
@@ -10,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from ppclab.families import (
+    ORBIT_N_CAP,
     FamilyError,
     SequenceFamily,
     degree,
@@ -17,7 +21,6 @@ from ppclab.families import (
     diff_derivative,
     diff_over_lead,
     diff_value,
-    eval_frac,
     orbit,
     parse_family,
 )
@@ -27,6 +30,7 @@ from ppclab.hpreal import (
     IndeterminateFrac,
     PrecisionOverflow,
     circle_dist,
+    frac_walk,
     parse_alpha,
     pow_frac,
 )
@@ -48,6 +52,14 @@ def geomsum_oracle(x: Fraction, d: int) -> Fraction:
         total += p
         p *= x
     return total
+
+
+def single_point(family: SequenceFamily, alpha: ExactReal, n: int):
+    """frac(f_n(alpha)) alone, by a one-exponent walk (not for kronecker)."""
+    d = degree(family, n)
+    if family.kind == "geomsum":
+        return frac_walk(alpha, [d + 1], DELTA, geometric=True)[0]
+    return pow_frac(alpha, d, DELTA)
 
 
 # ---------------------------------------------------------------------------
@@ -89,36 +101,37 @@ def test_degrees_strictly_increase():
 
 
 # ---------------------------------------------------------------------------
-# eval_frac
+# single points
 # ---------------------------------------------------------------------------
 
 
-def test_eval_frac_geomsum_matches_summation_oracle():
+def test_single_point_geomsum_matches_summation_oracle():
     alpha = parse_alpha("1.5", 128)
     af = alpha.as_fraction()
     for n in (1, 2, 3):
         d = degree(GEO2, n)
         want = geomsum_oracle(af, d) % 1
-        got = eval_frac(GEO2, alpha, n, DELTA)
+        got = single_point(GEO2, alpha, n)
         assert circle_dist(got.value, want) <= Fraction(got.error)
     # n=2 is exactly representable: frac(1+1.5+...+1.5^4) = frac(13.1875)
-    got = eval_frac(GEO2, alpha, 2, DELTA)
+    got = single_point(GEO2, alpha, 2)
     assert got.value == Fraction(3, 16) and got.error == 0.0
 
 
-def test_eval_frac_kronecker_exact():
+def test_kronecker_point_exact():
     alpha = parse_alpha("1.618033988749894848204586834366", 128)
     af = alpha.as_fraction()
+    orb = orbit(KRON, alpha, 137, DELTA)
     for n in (1, 2, 10, 137):
-        got = eval_frac(KRON, alpha, n, DELTA)
+        got = orb.points[n - 1]
         assert got.value == (n * af) % 1
         assert got.error == 0.0
 
 
-def test_eval_frac_monomial_is_pow_frac():
+def test_single_point_monomial_matches_exact_power():
     alpha = parse_alpha("1.8", 128)
     af = alpha.as_fraction()
-    got = eval_frac(MON2, alpha, 4, DELTA)  # degree 16
+    got = single_point(MON2, alpha, 4)  # degree 16
     exact = af**16
     want = exact - (exact.numerator // exact.denominator)
     assert circle_dist(got.value, want) <= Fraction(got.error) <= DELTA
@@ -142,7 +155,7 @@ def test_orbit_matches_per_index_eval():
     orb = orbit(MON2, alpha, 200, DELTA)
     assert len(orb) == 200
     for n in (1, 2, 3, 50, 113, 200):
-        single = eval_frac(MON2, alpha, n, DELTA)
+        single = single_point(MON2, alpha, n)
         assert circle_dist(orb.points[n - 1].value, single.value) <= 2 * DELTA
 
 
@@ -150,7 +163,7 @@ def test_orbit_geomsum_matches_per_index_eval():
     alpha = parse_alpha("1.7", 128)
     orb = orbit(GEO2, alpha, 12, DELTA)
     for n in (1, 5, 12):
-        single = eval_frac(GEO2, alpha, n, DELTA)
+        single = single_point(GEO2, alpha, n)
         assert circle_dist(orb.points[n - 1].value, single.value) <= 2 * DELTA
 
 
@@ -158,7 +171,7 @@ def test_orbit_factorial_and_linpow():
     alpha = parse_alpha("1.8", 128)
     orb = orbit(FACT, alpha, 8, DELTA)
     for n in (1, 4, 8):
-        single = eval_frac(FACT, alpha, n, DELTA)
+        single = single_point(FACT, alpha, n)
         assert circle_dist(orb.points[n - 1].value, single.value) <= 2 * DELTA
     af = alpha.as_fraction()
     lin = orbit(LIN, alpha, 40, DELTA)
@@ -167,6 +180,22 @@ def test_orbit_factorial_and_linpow():
         running *= af
         want = running % 1
         assert circle_dist(lin.points[n - 1].value, want) <= Fraction(lin.points[n - 1].error)
+
+
+@pytest.mark.parametrize("family", [LIN, KRON, MON2])
+def test_orbit_length_is_capped_before_any_work(monkeypatch, family):
+    from ppclab import families
+
+    def never(*args, **kwargs):
+        raise AssertionError("orbit work started before the length check")
+
+    alpha = parse_alpha("1.5", 128)
+    assert ORBIT_N_CAP >= 5000  # criterion 4's orbit
+    monkeypatch.setattr(families, "frac_walk", never)
+    monkeypatch.setattr(families, "UnitPoint", never)  # the Kronecker walk
+    for N in (ORBIT_N_CAP + 1, 100_000_000, 10**400):
+        with pytest.raises(ValueError, match="N must be in"):
+            orbit(family, alpha, N, DELTA)
 
 
 def test_orbit_kronecker_exact_walk():

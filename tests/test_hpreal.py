@@ -5,11 +5,16 @@ its fractional part are exactly computable with fractions.Fraction.  Every
 certified result must enclose the oracle value within its reported error.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ppclab
 from ppclab.hpreal import (
     Ball,
     ExactReal,
@@ -17,13 +22,24 @@ from ppclab.hpreal import (
     PrecisionOverflow,
     UnitPoint,
     ball_pow,
+    LITERAL_EXP_CAP,
     check_delta,
+    check_literal,
     circle_dist,
     frac_point,
     parse_alpha,
     pow_frac,
     required_precision,
 )
+
+
+def _radius(r: tuple[int, int]) -> Fraction:
+    man, exp = r
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _mid(x: Ball) -> Fraction:
+    return Fraction(int(x.man)) * Fraction(2) ** x.exp
 
 
 def exact_frac_power(alpha: Fraction, d: int) -> Fraction:
@@ -78,8 +94,26 @@ def test_check_delta():
             check_delta(bad)
 
 
-def test_exactreal_from_float_is_exact():
-    x = ExactReal.from_float(1.7)
+def test_check_literal_bounds_the_decimal_exponent():
+    assert check_literal("3/2") == Fraction(3, 2)
+    assert check_literal(" 2.5e-3 ") == Fraction(1, 400)
+    assert check_literal("1e%d" % LITERAL_EXP_CAP) == 10**LITERAL_EXP_CAP
+    assert check_literal("1e-%d" % LITERAL_EXP_CAP) == Fraction(1, 10**LITERAL_EXP_CAP)
+    # each of these would take Fraction(text) minutes, or more, if it ran
+    for text in ("1e%d" % (LITERAL_EXP_CAP + 1), "1e999999999",
+                 "1.5e-999999999", "0e999999999",
+                 "1e9999999999999999999999999"):
+        with pytest.raises(ValueError, match="exponent|not a number"):
+            check_literal(text)
+        with pytest.raises(ValueError):
+            parse_alpha(text, 128)
+    for text in ("frogs", "1/0", "nan", "inf", "1e5/3", ""):
+        with pytest.raises(ValueError, match="not a number"):
+            check_literal(text)
+
+
+def test_exactreal_from_fraction_of_a_float_is_exact():
+    x = ExactReal.from_fraction(Fraction(1.7))
     assert x.as_fraction() == Fraction(1.7)
 
 
@@ -178,9 +212,9 @@ def test_ball_soundness_recompute_at_double_precision():
     prec = required_precision(d, alpha.upper_float(), Fraction(1, 2**40), 2 * d.bit_length())
     coarse = ball_pow(Ball.from_exact(alpha), d, prec)
     fine = ball_pow(Ball.from_exact(alpha), d, 2 * prec)
-    mid_gap = abs(coarse.midpoint_fraction() - fine.midpoint_fraction())
-    rad = Fraction(coarse.rad[0], 1) * Fraction(2) ** coarse.rad[1]
-    fine_rad = Fraction(fine.rad[0], 1) * Fraction(2) ** fine.rad[1]
+    mid_gap = abs(_mid(coarse) - _mid(fine))
+    rad = _radius(coarse.rad)
+    fine_rad = _radius(fine.rad)
     assert mid_gap + fine_rad <= rad
 
 
@@ -201,3 +235,15 @@ def test_circle_dist_wraps():
     assert circle_dist(Fraction(1, 10), Fraction(9, 10)) == Fraction(1, 5)
     assert circle_dist(Fraction(1, 2), Fraction(1, 2)) == 0
 
+
+def test_importing_hpreal_loads_no_other_ppclab_module():
+    # the package exports only __version__, so the arithmetic layer loads
+    # neither the rest of the library nor multiprocessing
+    probe = ("import json, sys, ppclab.hpreal; print(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] in "
+             "('ppclab', 'multiprocessing'))))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(ppclab.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == ["ppclab", "ppclab.hpreal"]

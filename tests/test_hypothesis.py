@@ -7,8 +7,10 @@ import pytest
 from ppclab.families import FamilyError, degree, diff_over_lead, parse_family
 from ppclab.hypothesis import (
     FAILS,
+    GRID_SIZE_CAP,
     HOLDS,
     N2_VERIFY_CAP,
+    N_MAX_CAP,
     SAMPLED,
     SKIPPED,
     IntervalSpec,
@@ -227,7 +229,10 @@ def test_report_rejects_bad_bounds_before_condition_one(monkeypatch):
     monkeypatch.setattr(hyp, "check_condition1", never)
     for fam in ("monomial:k=2", "kronecker"):
         for bounds in ({"n1_search_max": 1}, {"n_max": 1}, {"grid_size": 2},
-                       {"n1_search_max": 50, "n2_verify_max": 50}):
+                       {"n1_search_max": 50, "n2_verify_max": 50},
+                       {"n_max": N_MAX_CAP + 1}, {"n_max": 100_000_000},
+                       {"grid_size": GRID_SIZE_CAP + 1},
+                       {"grid_size": 100_000_000}):
             with pytest.raises(ValueError, match="must be|need 2"):
                 check_hypotheses(parse_family(fam), AB, **bounds)
 

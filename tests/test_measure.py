@@ -284,10 +284,12 @@ def test_non_monotone_detected():
 
 def test_tol_validation():
     target = CircleInterval.arc(0, Fraction(1, 2))
-    for bad in (0, -1, Fraction(1, 10**5), 1e-5):
+    for bad in (0, -1, Fraction(1, 10**5), 1e-5, Fraction(1, 10**31),
+                Fraction(1, 10**400)):
         with pytest.raises(ValueError):
             level_set_measure(PowerMap(2), AB, target, bad)
     level_set_measure(PowerMap(2), AB, target, Fraction(1, 10**6))
+    level_set_measure(PowerMap(2), AB, target, Fraction(1, 10**30))
 
 
 def test_power_map_validation():

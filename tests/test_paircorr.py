@@ -15,7 +15,6 @@ from ppclab.paircorr import (
     ppc_curve,
     read_points,
     star_discrepancy,
-    write_points,
 )
 
 
@@ -200,7 +199,7 @@ def test_points_roundtrip(tmp_path):
     alpha = parse_alpha("1.5", 64)
     orb = orbit(fam, alpha, 16, 2**-40)
     path = tmp_path / "pts.txt"
-    write_points(path, orb.points, comments=["family=monomial:k=2 alpha=1.5"])
+    path.write_text(points_text(orb.points, ["family=monomial:k=2 alpha=1.5"]))
     back = read_points(path)
     assert len(back) == 16
     for orig, rd in zip(orb.points, back):
@@ -208,7 +207,7 @@ def test_points_roundtrip(tmp_path):
         assert rd.error == 0.0
     # second serialization of the parsed values is byte-identical
     again = tmp_path / "pts2.txt"
-    write_points(again, back, comments=["family=monomial:k=2 alpha=1.5"])
+    again.write_text(points_text(back, ["family=monomial:k=2 alpha=1.5"]))
     assert path.read_bytes() == again.read_bytes()
 
 
