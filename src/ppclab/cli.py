@@ -21,8 +21,9 @@ is the one usage error reported after the computation.
 
 Caps, each checked before any work: a number literal's decimal exponent
 (hpreal.LITERAL_EXP_CAP, 4300), orbit points (families.ORBIT_N_CAP, 100000),
---n-max, --grid-size and --n2-max of hypothesis (20, 256, 5000), --tol of
-measure ([1e-30, 1e-6]) and --K of second-moment (4096).  Every emitted
+--n-max, --grid-size and --n2-max of hypothesis (20, 256, 5000) and its
+sampled geomsum degree n_max^k + 1 (1025), --tol of measure ([1e-30, 1e-6])
+and --K of second-moment (4096).  Every emitted
 artifact embeds the run configuration so it can be replayed byte for byte;
 the output path and thread count are deliberately left out of that block so
 replays to a different location, or with different parallelism, compare equal.
@@ -43,6 +44,7 @@ from ppclab import __version__
 from ppclab.families import orbit, parse_family
 from ppclab.hpreal import (
     ALPHA_BITS,
+    MUL_BACKEND,
     IndeterminateFrac,
     PrecisionOverflow,
     check_literal,
@@ -374,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                      description="pair-correlation laboratory for "
                                  "fast-growing polynomial sequences")
     parser.add_argument("--version", action="version",
-                        version="ppclab %s" % __version__)
+                        version="ppclab %s (multiply: %s)"
+                                % (__version__, MUL_BACKEND))
     subs = parser.add_subparsers(dest="cmd", required=True,
                                  metavar="subcommand")
 

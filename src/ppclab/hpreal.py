@@ -10,6 +10,7 @@ no rounding modes, no library-version drift.
 
 Layers:
 
+  _mul           -- the one exact multiply of mantissas (MUL_BACKEND names it)
   ExactReal      -- canonical dyadic rational (odd mantissa * 2^exp)
   Ball           -- midpoint/radius enclosure at a given working precision
   UnitPoint      -- a point of [0,1) with a certified circle-metric error
@@ -27,11 +28,21 @@ PREC_BUDGET_BITS; every segment is planned before any multiplication.  If an
 enclosure is still wider than the tolerance, that segment is retried exactly
 once at doubled precision, and then IndeterminateFrac is raised with the
 point's orbit index.
+
+Multiply backend, chosen once at import: with gmpy2 the mantissas are mpz
+and _mul is plain *; otherwise, where the system's libgmp.so.10 loads
+through ctypes, products of large operands run GMP's mpn_mul/mpn_sqr and
+small ones stay on CPython's int; otherwise everything is CPython's int.
+Every backend returns the exact product, so the bits of every result are the
+same on all three; only the time differs.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -39,8 +50,7 @@ from fractions import Fraction
 try:
     from gmpy2 import mpz as _mpz
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    def _mpz(x):
-        return x
+    _mpz = int
 
 
 # Largest working precision a plan may ask for: 2^30 mantissa bits, 128 MiB
@@ -300,6 +310,80 @@ def required_precision(d: int, alpha_upper, delta, mults: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the exact multiply seam
+# ---------------------------------------------------------------------------
+
+# A product goes to libgmp once its smaller operand has _GMP_SMALLER_BITS
+# bits and its larger _GMP_LARGER_BITS; below that the ctypes call and the
+# conversions cost more than CPython's multiply saves (sweep in CHANGES.md).
+_GMP_SMALLER_BITS = 2048
+_GMP_LARGER_BITS = 4096
+
+
+def _load_libgmp():
+    """GMP's shared library, or None where it is missing or its limbs are
+    not 64-bit little-endian words (the layout int.to_bytes writes here)."""
+    if sys.byteorder != "little":
+        return None
+    try:
+        lib = ctypes.CDLL("libgmp.so.10")  # find_library would fork
+    except OSError:
+        return None
+    if ctypes.c_int.in_dll(lib, "__gmp_bits_per_limb").value != 64:
+        return None
+    ptr, size = ctypes.c_void_p, ctypes.c_long  # mp_size_t is a long
+    lib.__gmpn_mul.argtypes = [ptr, ptr, size, ptr, size]
+    lib.__gmpn_mul.restype = ctypes.c_uint64
+    lib.__gmpn_sqr.argtypes = [ptr, ptr, size]
+    lib.__gmpn_sqr.restype = None
+    return lib
+
+
+def _libgmp_mul(lib):
+    """a * b, exactly; large products run GMP's mpn_mul (Toom and FFT).
+
+    Magnitudes cross as limb buffers from int.to_bytes, whose data CPython
+    keeps 16-byte aligned; the sign is applied here.  Every buffer is local
+    to the call, so the multiply holds no state between calls.
+    """
+    mpn_mul, mpn_sqr = lib.__gmpn_mul, lib.__gmpn_sqr
+
+    def mul(a, b):
+        la, lb = a.bit_length(), b.bit_length()
+        if la < lb:
+            a, b, la, lb = b, a, lb, la
+        if lb < _GMP_SMALLER_BITS or la < _GMP_LARGER_BITS:
+            return a * b
+        un, vn = (la + 63) >> 6, (lb + 63) >> 6
+        rp = ctypes.create_string_buffer(8 * (un + vn))
+        if a is b:  # ball_pow's squarings: one conversion, less scratch
+            mpn_sqr(rp, abs(a).to_bytes(8 * un, "little"), un)
+        else:
+            mpn_mul(rp, abs(a).to_bytes(8 * un, "little"), un,
+                    abs(b).to_bytes(8 * vn, "little"), vn)
+        r = int.from_bytes(rp, "little")
+        return -r if (a < 0) != (b < 0) else r
+
+    return mul
+
+
+def _select_mul():
+    """(multiply, backend name): gmpy2's mpz if present, else libgmp through
+    ctypes above the size threshold, else CPython's int multiply."""
+    if _mpz is not int:
+        return operator.mul, "gmpy2"
+    lib = _load_libgmp()
+    if lib is None:
+        return operator.mul, "python int"
+    version = ctypes.c_char_p.in_dll(lib, "__gmp_version").value.decode()
+    return _libgmp_mul(lib), "libgmp %s via ctypes" % version
+
+
+# the one multiply of mantissas, chosen once at import
+_mul, MUL_BACKEND = _select_mul()
+
+
+# ---------------------------------------------------------------------------
 # ball arithmetic
 # ---------------------------------------------------------------------------
 
@@ -348,7 +432,7 @@ def _round_mantissa(man, exp: int, prec: int):
 
 
 def ball_mul(x: Ball, y: Ball, prec: int) -> Ball:
-    man = x.man * y.man
+    man = _mul(x.man, y.man)
     exp = x.exp + y.exp
     rad = _R_ZERO
     if x.rad[0] or y.rad[0]:

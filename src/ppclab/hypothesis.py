@@ -49,6 +49,14 @@ N2_VERIFY_CAP = 5000
 N_MAX_CAP = 20
 GRID_SIZE_CAP = 256
 
+# Largest degree n_max^k + 1 that the exact geomsum condition (2) sampling
+# takes powers of.  On [1.5, 2] at grid 64 (256) it took 0.37 s (1.6 s) at
+# degree 513 (k=3, n_max 8), 0.97 s (7.0 s) at 1001 (k=3, n_max 10), 2.7 s
+# (27 s) at 1729 (k=3, n_max 12) and 8.3 s at 2745 (k=3, n_max 14), on a
+# 2-CPU host without gmpy2.  At 1025 no scan inside the caps takes longer
+# than the 8 s of k=2 at (20, 256).
+SAMPLED_DEGREE_CAP = 1025
+
 # families whose differences are plain two-term monomial differences,
 # increasing and convex on (1, inf) by inspection of the derivatives
 _CLOSED_FORM_CONVEX = ("monomial", "factorial", "linpow")
@@ -304,7 +312,8 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
                      n2_verify_max: int = 500) -> HypothesisReport:
     """Run all five condition checks and assemble the report.
 
-    All four scan bounds are checked before condition (1) runs.
+    All four scan bounds, and the sampled geomsum degree, are checked before
+    condition (1) runs.
     """
     if not 2 <= n_max <= N_MAX_CAP:
         raise ValueError("n_max must be in [2, %d], got %d" % (N_MAX_CAP, n_max))
@@ -315,6 +324,11 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
         raise ValueError("need 2 <= n1_search_max < n2_verify_max <= %d, "
                          "got %d and %d" % (N2_VERIFY_CAP, n1_search_max,
                                             n2_verify_max))
+    # n_max >= 2, so k above 64 is over the cap without computing n_max^k
+    if (family.kind == "geomsum"
+            and n_max ** min(family.k, 64) + 1 > SAMPLED_DEGREE_CAP):
+        raise ValueError("geomsum:k=%d at n_max %d samples degree n_max^k + 1 "
+                         "above %d" % (family.k, n_max, SAMPLED_DEGREE_CAP))
     v1 = check_condition1(family, n_max)
     if family.kind == "kronecker":
         skip = Verdict(SKIPPED, {"reason": "degree-growth conditions do not "

@@ -1,9 +1,11 @@
 """End-to-end tests of the command-line interface, run in-process."""
 
 import json
+import operator
 
 import pytest
 
+from ppclab import hpreal
 from ppclab.cli import main
 from ppclab.paircorr import read_points
 
@@ -34,6 +36,18 @@ def test_orbit_monomial_example(capsys):
     assert lines[0] == "# ppc-points v1 N=3"
     assert lines[1].startswith("# config ")
     assert lines[2:] == ["0.5", "0.0625", "0.443359375"]
+
+
+def test_orbit_bytes_do_not_depend_on_the_multiply_backend(tmp_path,
+                                                           monkeypatch):
+    # criterion 9's orbit, through the seam's backend and through plain int
+    argv = ["orbit", "--family", "monomial:k=2", "--alpha", "1.5",
+            "--N", "400", "--delta", "1e-9", "--threads", "1", "--out"]
+    assert main(argv + [str(tmp_path / "seam.txt")]) == 0
+    monkeypatch.setattr(hpreal, "_mul", operator.mul)
+    assert main(argv + [str(tmp_path / "int.txt")]) == 0
+    assert ((tmp_path / "seam.txt").read_bytes()
+            == (tmp_path / "int.txt").read_bytes())
 
 
 def test_orbit_linpow_zeros(capsys):
@@ -446,6 +460,7 @@ def test_unwritable_out_names_the_flag(tmp_path, capsys):
      "--N", "100000000", "--s", "1"],
     ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
      "--s", "1", "--N", "100000000", "--threads", "1"],
+    ["hypothesis", "--family", "geomsum:k=10", "--a", "1.5", "--b", "2"],
 ])
 def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
                                                        argv):
@@ -571,3 +586,6 @@ def test_version(capsys):
     assert code == 0
     assert out.startswith("ppclab ")
     assert out.strip().split()[1][0].isdigit()
+    assert out.strip().endswith("(multiply: %s)" % hpreal.MUL_BACKEND)
+    assert ((hpreal._mul is operator.mul)
+            == (hpreal.MUL_BACKEND in ("gmpy2", "python int")))

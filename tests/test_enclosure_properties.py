@@ -10,6 +10,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ppclab import hpreal
 from ppclab.hpreal import (
     Ball,
     ExactReal,
@@ -139,3 +140,40 @@ def test_ball_div_exact_encloses_quotients(xb, num, exp, prec):
 def test_radius_sum_is_an_upper_bound(m1, e1, m2, e2):
     r1, r2 = _r_norm(m1, e1), _r_norm(m2, e2)
     assert _radius(_r_add(r1, r2)) >= _radius(r1) + _radius(r2)
+
+
+# the seam, and its libgmp route wherever the library loads (also beside
+# gmpy2, where the seam itself is plain *)
+_LIBGMP = hpreal._load_libgmp()
+_MULS = (hpreal._mul,)
+if _LIBGMP is not None:
+    _MULS += (hpreal._libgmp_mul(_LIBGMP),)
+_EDGE_BITS = (1, 63, 64, 65, 128, 20000) + tuple(
+    t + d for t in (hpreal._GMP_SMALLER_BITS, hpreal._GMP_LARGER_BITS)
+    for d in (-65, -64, -1, 0, 1))
+
+
+@st.composite
+def mantissas(draw) -> int:
+    """Zero, or a signed integer of a size at a 64-bit limb boundary or at
+    the libgmp threshold: random, all ones, or a power of two."""
+    if draw(st.integers(0, 15)) == 0:
+        return 0
+    bits = draw(st.sampled_from(_EDGE_BITS))
+    shape = draw(st.sampled_from(("random", "ones", "power")))
+    if shape == "ones":
+        mag = (1 << bits) - 1
+    elif shape == "power":
+        mag = 1 << (bits - 1)
+    else:
+        mag = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    return draw(st.sampled_from((1, -1))) * mag
+
+
+@_BALL
+@given(mantissas(), mantissas(), st.booleans())
+def test_mul_seam_is_the_exact_product(a, b, square):
+    if square:
+        b = a  # the same object, as in ball_pow's squarings
+    for mul in _MULS:
+        assert mul(a, b) == a * b

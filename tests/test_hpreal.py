@@ -7,6 +7,7 @@ certified result must enclose the oracle value within its reported error.
 
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import ppclab
+from ppclab import hpreal
 from ppclab.hpreal import (
     Ball,
     ExactReal,
@@ -247,3 +249,14 @@ def test_importing_hpreal_loads_no_other_ppclab_module():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(done.stdout) == ["ppclab", "ppclab.hpreal"]
+
+
+def test_mul_seam_falls_back_to_int_without_libgmp(monkeypatch):
+    def missing(name):
+        raise OSError("%s: cannot open shared object file" % name)
+
+    monkeypatch.setattr(hpreal.ctypes, "CDLL", missing)
+    assert hpreal._load_libgmp() is None
+    mul, backend = hpreal._select_mul()
+    assert mul is operator.mul
+    assert backend in ("gmpy2", "python int")

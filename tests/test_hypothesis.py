@@ -12,6 +12,7 @@ from ppclab.hypothesis import (
     N2_VERIFY_CAP,
     N_MAX_CAP,
     SAMPLED,
+    SAMPLED_DEGREE_CAP,
     SKIPPED,
     IntervalSpec,
     check_condition1,
@@ -248,6 +249,28 @@ def test_report_caps_the_condition5_scan(monkeypatch):
     for n2 in (N2_VERIFY_CAP + 1, 100_000_000):
         with pytest.raises(ValueError, match="n2_verify_max <= %d" % N2_VERIFY_CAP):
             check_hypotheses(parse_family("linpow"), AB, n2_verify_max=n2)
+
+
+def test_report_caps_the_geomsum_sampled_degree(monkeypatch):
+    import ppclab.hypothesis as hyp
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(hyp, "check_condition1", reached)
+    assert 2**10 + 1 == SAMPLED_DEGREE_CAP
+    # at the cap, and monomial (closed-form condition (2)) at any degree
+    for spec, n_max in (("geomsum:k=10", 2), ("geomsum:k=3", 10),
+                        ("geomsum:k=2", N_MAX_CAP), ("monomial:k=30", 8)):
+        with pytest.raises(Reached):
+            check_hypotheses(parse_family(spec), AB, n_max=n_max)
+    for spec, n_max in (("geomsum:k=11", 2), ("geomsum:k=3", 11),
+                        ("geomsum:k=10", 8), ("geomsum:k=" + "9" * 30, 2)):
+        with pytest.raises(ValueError, match="above %d" % SAMPLED_DEGREE_CAP):
+            check_hypotheses(parse_family(spec), AB, n_max=n_max)
 
 
 def test_report_monomial_all_holds():
