@@ -22,8 +22,9 @@ is the one usage error reported after the computation.
 Caps, each checked before any work: a number literal's decimal exponent
 (hpreal.LITERAL_EXP_CAP, 4300), orbit points (families.ORBIT_N_CAP, 100000),
 --n-max, --grid-size and --n2-max of hypothesis (20, 256, 5000) and its
-sampled geomsum degree n_max^k + 1 (1025), --tol of measure ([1e-30, 1e-6])
-and --K of second-moment (4096).  Every emitted
+sampled geomsum degree n_max^k + 1 (1025), a degree n^k
+(families.DEGREE_CAP_BITS, 2048 bits), --tol of measure ([1e-30, 1e-6]) and
+--K of second-moment (4096).  Every emitted
 artifact embeds the run configuration so it can be replayed byte for byte;
 the output path and thread count are deliberately left out of that block so
 replays to a different location, or with different parallelism, compare equal.
@@ -114,24 +115,17 @@ class RunConfig:
     delta: str | None = None
     seed: int | None = None
     K: int | None = None
-    out: str | None = None
     format: str | None = None
     extras: tuple[tuple[str, object], ...] = ()
 
     def block(self) -> dict:
-        doc: dict = {"subcommand": self.subcommand}
-        for key in ("family", "alpha", "a", "b", "N"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
+        # the set fields in declaration order, then the extras: the order
+        # is part of every artifact's bytes
+        doc = {key: value for key, value in vars(self).items()
+               if value is not None and key != "extras"}
         if self.N_list is not None:
             doc["N_list"] = ",".join(str(n) for n in self.N_list)
-        for key in ("s", "delta", "seed", "K", "format"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        for key, value in self.extras:
-            doc[key] = value
+        doc.update(self.extras)
         return doc
 
 
@@ -165,114 +159,113 @@ def _n_list(text: str) -> tuple[int, ...]:
     return values
 
 
-def _load_points(path: str):
-    try:
-        return read_points(path)
-    except OSError as exc:
-        raise _UsageError("--in: %s" % exc) from None
+def _json_payload(doc: dict, cfg: RunConfig) -> str:
+    """A JSON artifact: the result document, then its replay config."""
+    return json.dumps(dict(doc, config=cfg.block()), indent=2) + "\n"
 
 
-def _json_payload(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _statistic_csv(rows) -> str:
+    """The `N,statistic` CSV of paircorr, one row per (N, statistic)."""
+    return "".join(["N,statistic\n"] + ["%d,%r\n" % row for row in rows])
+
+
+def _delta(ns, s: Fraction | None, n_max: int) -> tuple[str, Fraction]:
+    """--delta as text and value; by default 2^-40, or for a pair statistic
+    at scale s the finer default_delta(s, n_max)."""
+    text = ns.delta
+    if text is None:
+        text = _DEFAULT_DELTA if s is None else str(default_delta(s, n_max))
+    return text, _frac(text, "--delta")
+
+
+def _family_alpha(ns):
+    if ns.family is None or ns.alpha is None:
+        raise _UsageError("need --family and --alpha (or --in FILE)")
+    return parse_family(ns.family), parse_alpha(ns.alpha, ALPHA_BITS)
+
+
+def _points(ns, s: Fraction | None = None) -> tuple:
+    """The points a command runs on, and the RunConfig fields that name them.
+
+    They are read from --in, which replaces the family flags, or walked as
+    the orbit --family/--alpha/--N/--delta describe; with a scale s, delta
+    must also pass the blur bound at N.
+    """
+    infile = getattr(ns, "infile", None)  # orbit takes no --in
+    if infile is not None:
+        if any(getattr(ns, key, None) is not None
+               for key in ("family", "alpha", "N", "N_list", "delta")):
+            raise _UsageError("--in replaces the family flags; drop "
+                              "--family/--alpha/--N/--N-list/--delta")
+        try:
+            return read_points(infile), {"extras": (("in", infile),)}
+        except OSError as exc:
+            raise _UsageError("--in: %s" % exc) from None
+    family, alpha = _family_alpha(ns)
+    if ns.N is None:
+        raise _UsageError("need --N (or --in FILE)")
+    n = _check_n(ns.N)
+    delta_text, delta = _delta(ns, s, n)
+    if s is not None:
+        check_resolution(s, delta, n)
+    points = orbit(family, alpha, n, delta).points
+    return points, {"family": ns.family, "alpha": ns.alpha, "N": n,
+                    "delta": delta_text}
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_orbit(ns) -> str:
-    family = parse_family(ns.family)
-    alpha = parse_alpha(ns.alpha, ALPHA_BITS)
-    _check_n(ns.N)
-    delta_text = ns.delta if ns.delta is not None else _DEFAULT_DELTA
-    delta = _frac(delta_text, "--delta")
-    cfg = RunConfig("orbit", family=ns.family, alpha=ns.alpha, N=ns.N,
-                    delta=delta_text)
-    orb = orbit(family, alpha, ns.N, delta)
-    return points_text(orb.points, ["config " + json.dumps(cfg.block())])
+    points, fields = _points(ns)
+    cfg = RunConfig("orbit", **fields)
+    return points_text(points, ["config " + json.dumps(cfg.block())])
 
 
-def _paircorr_result(points, s: Fraction, cfg: RunConfig, fmt: str) -> str:
+def _cmd_paircorr(ns) -> str:
+    s = _frac(ns.s, "--s")
+    if ns.infile is None and ns.N_list is not None:
+        return _paircorr_curve(ns, s)
+    points, fields = _points(ns, s)
     res = pair_count(points, s)
-    if fmt == "csv":
-        return "N,statistic\n%d,%r\n" % (res.N, res.statistic)
+    if ns.format == "csv":
+        return _statistic_csv([(res.N, res.statistic)])
+    cfg = RunConfig("paircorr", s=ns.s, format=ns.format, **fields)
     return _json_payload({
         "schema": "paircorr-result v1",
         "N": res.N,
         "s": float(res.s),
         "ordered_count": res.ordered_count,
         "statistic": res.statistic,
-        "config": cfg.block(),
-    })
+    }, cfg)
 
 
-def _cmd_paircorr(ns) -> str:
-    s = _frac(ns.s, "--s")
-    if ns.infile is not None:
-        if ns.family or ns.alpha or ns.N or ns.N_list or ns.delta:
-            raise _UsageError("--in replaces the family flags; drop "
-                              "--family/--alpha/--N/--N-list/--delta")
-        points = _load_points(ns.infile)
-        cfg = RunConfig("paircorr", s=ns.s, format=ns.format,
-                        extras=(("in", ns.infile),))
-        return _paircorr_result(points, s, cfg, ns.format)
-    if ns.family is None or ns.alpha is None:
-        raise _UsageError("need --family and --alpha (or --in FILE)")
-    if (ns.N is None) == (ns.N_list is None):
-        raise _UsageError("need exactly one of --N or --N-list")
-    family = parse_family(ns.family)
-    alpha = parse_alpha(ns.alpha, ALPHA_BITS)
-    n_list = (ns.N_list if ns.N_list is not None
-              else (_check_n(ns.N),))
-    delta_text = (ns.delta if ns.delta is not None
-                  else str(default_delta(s, max(n_list))))
-    delta = _frac(delta_text, "--delta")
-    cfg = RunConfig("paircorr", family=ns.family, alpha=ns.alpha,
-                    N=ns.N, N_list=ns.N_list, s=ns.s, delta=delta_text,
-                    format=ns.format)
+def _paircorr_curve(ns, s: Fraction) -> str:
     if ns.N is not None:
-        check_resolution(s, delta, ns.N)
-        orb = orbit(family, alpha, ns.N, delta)
-        return _paircorr_result(orb.points, s, cfg, ns.format)
-    curve = ppc_curve(family, alpha, s, list(n_list), delta)
+        raise _UsageError("need exactly one of --N or --N-list")
+    family, alpha = _family_alpha(ns)
+    delta_text, delta = _delta(ns, s, max(ns.N_list))
+    curve = ppc_curve(family, alpha, s, list(ns.N_list), delta)
     if ns.format == "csv":
-        lines = ["N,statistic"]
-        lines.extend("%d,%r" % (n, stat) for n, stat in curve)
-        return "\n".join(lines) + "\n"
+        return _statistic_csv(curve)
+    cfg = RunConfig("paircorr", family=ns.family, alpha=ns.alpha,
+                    N_list=ns.N_list, s=ns.s, delta=delta_text,
+                    format=ns.format)
     return _json_payload({
         "schema": "paircorr-curve v1",
         "s": float(s),
         "entries": [{"N": n, "statistic": stat} for n, stat in curve],
-        "config": cfg.block(),
-    })
+    }, cfg)
 
 
 def _cmd_discrepancy(ns) -> str:
-    if ns.format == "csv":
-        raise _UsageError("--format csv is not available for discrepancy")
-    if ns.infile is not None:
-        if ns.family or ns.alpha or ns.N or ns.delta:
-            raise _UsageError("--in replaces the family flags; drop "
-                              "--family/--alpha/--N/--delta")
-        points = _load_points(ns.infile)
-        cfg = RunConfig("discrepancy", extras=(("in", ns.infile),))
-    else:
-        if ns.family is None or ns.alpha is None or ns.N is None:
-            raise _UsageError("need --family, --alpha and --N (or --in FILE)")
-        family = parse_family(ns.family)
-        alpha = parse_alpha(ns.alpha, ALPHA_BITS)
-        _check_n(ns.N)
-        delta_text = ns.delta if ns.delta is not None else _DEFAULT_DELTA
-        delta = _frac(delta_text, "--delta")
-        cfg = RunConfig("discrepancy", family=ns.family, alpha=ns.alpha,
-                        N=ns.N, delta=delta_text)
-        points = orbit(family, alpha, ns.N, delta).points
+    points, fields = _points(ns)
     res = star_discrepancy(points)
     return _json_payload({
         "schema": "discrepancy-result v1",
         "N": res.N,
         "d_star": res.d_star,
-        "config": cfg.block(),
-    })
+    }, RunConfig("discrepancy", **fields))
 
 
 def _cmd_hypothesis(ns) -> str:
@@ -285,9 +278,7 @@ def _cmd_hypothesis(ns) -> str:
                               grid_size=ns.grid_size,
                               n1_search_max=ns.n1_max,
                               n2_verify_max=ns.n2_max)
-    doc = report_to_json(report)
-    doc["config"] = cfg.block()
-    return _json_payload(doc)
+    return _json_payload(report_to_json(report), cfg)
 
 
 def _cmd_measure(ns) -> str:
@@ -325,8 +316,7 @@ def _cmd_measure(ns) -> str:
                        else bounds.upper_main),
         "residual_scaled": bounds.residual_scaled,
     }
-    doc["config"] = cfg.block()
-    return _json_payload(doc)
+    return _json_payload(doc, cfg)
 
 
 def _cmd_second_moment(ns) -> str:
@@ -342,9 +332,7 @@ def _cmd_second_moment(ns) -> str:
     interval = _interval(ns)
     s = _frac(ns.s, "--s")
     n_list = ns.N_list if ns.N_list is not None else (_check_n(ns.N),)
-    delta_text = (ns.delta if ns.delta is not None
-                  else str(default_delta(s, max(n_list))))
-    delta = _frac(delta_text, "--delta")
+    delta_text, delta = _delta(ns, s, max(n_list))
     quad = QuadratureSpec(ns.mode, ns.K, ns.seed)
     cfg = RunConfig("second-moment", family=ns.family, a=ns.a, b=ns.b,
                     N=ns.N, N_list=ns.N_list, s=ns.s, delta=delta_text,
@@ -354,9 +342,7 @@ def _cmd_second_moment(ns) -> str:
                                   delta=delta, threads=ns.threads)
     if ns.format == "csv":
         return series_to_csv(series)
-    doc = series_to_json(series)
-    doc["config"] = cfg.block()
-    return _json_payload(doc)
+    return _json_payload(series_to_json(series), cfg)
 
 
 # -------------------------------------------------------------------- parser
@@ -369,6 +355,18 @@ def _add_family_alpha(sub, alpha_required=True, family_required=True):
     sub.add_argument("--alpha", required=alpha_required,
                      help="alpha as decimal or fraction text; parsed to "
                           "128 fractional bits")
+
+
+def _add_orbit_flags(sub, from_file: bool, delta_default: str):
+    """--family/--alpha/--N/--delta, required unless --in may replace them."""
+    _add_family_alpha(sub, alpha_required=not from_file,
+                      family_required=not from_file)
+    if from_file:
+        sub.add_argument("--in", dest="infile", help="ppc-points v1 file")
+    sub.add_argument("--N", type=int, required=not from_file,
+                     help="orbit length")
+    sub.add_argument("--delta", help="per-point error budget (default %s)"
+                                     % delta_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -390,32 +388,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("orbit", parents=[shared], formatter_class=_Formatter,
                         help="write the first N certified orbit points")
-    _add_family_alpha(p)
-    p.add_argument("--N", type=int, required=True, help="orbit length")
-    p.add_argument("--delta", help="per-point error budget "
-                                   "(default 2^-40)")
+    _add_orbit_flags(p, False, "2^-40")
 
     p = subs.add_parser("paircorr", parents=[shared],
                         formatter_class=_Formatter,
                         help="pair-correlation statistic of an orbit or file")
-    _add_family_alpha(p, alpha_required=False, family_required=False)
-    p.add_argument("--in", dest="infile", help="ppc-points v1 file")
-    p.add_argument("--N", type=int, help="orbit length")
+    _add_orbit_flags(p, True, "min(2^-40, s/(200 N))")
     p.add_argument("--N-list", type=_n_list, dest="N_list",
                    help="comma-separated prefix lengths for a curve")
     p.add_argument("--s", required=True, help="pair-correlation scale")
-    p.add_argument("--delta", help="per-point error budget "
-                                   "(default min(2^-40, s/(200 N)))")
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = subs.add_parser("discrepancy", parents=[shared],
                         formatter_class=_Formatter,
                         help="star discrepancy of an orbit or file")
-    _add_family_alpha(p, alpha_required=False, family_required=False)
-    p.add_argument("--in", dest="infile", help="ppc-points v1 file")
-    p.add_argument("--N", type=int, help="orbit length")
-    p.add_argument("--delta", help="per-point error budget (default 2^-40)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_orbit_flags(p, True, "2^-40")
+    p.add_argument("--format", choices=("json",), default="json")
 
     p = subs.add_parser("hypothesis", parents=[shared],
                         formatter_class=_Formatter,

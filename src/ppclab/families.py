@@ -24,6 +24,12 @@ from ppclab.hpreal import ExactReal, PrecisionOverflow, UnitPoint, check_delta, 
 
 _FACTORIAL_CAP = 20
 
+# Most bits of a monomial or geomsum degree n^k, checked before the power.
+# It lies above the float range (2^1024) that hypothesis and measure can use
+# and above any degree a test builds (2^1100); no orbit plan passes about
+# 2^82.
+DEGREE_CAP_BITS = 1 << 11
+
 # Most points one orbit may have, checked before its exponent list or
 # Kronecker walk is built.  The largest orbit any test or workload uses has
 # 5000 points (criterion 4).  linpow at alpha 1.5 took 0.05 s at N=5000,
@@ -77,11 +83,21 @@ def parse_family(spec: str) -> SequenceFamily:
 
 
 def degree(family: SequenceFamily, n: int) -> int:
-    """d_n for the family; n! is capped at n <= 20 (precision budget)."""
+    """d_n for the family; n^k is capped at DEGREE_CAP_BITS bits and n! at
+    n <= 20 (precision budget)."""
     if n < 1:
         raise ValueError("index must be >= 1, got %d" % n)
-    if family.kind in ("monomial", "geomsum"):
-        return n**family.k
+    if family.kind in _KINDS_WITH_K:
+        # n^k has more than k*(bits(n) - 1) bits, so a power past that
+        # pre-check has fewer than 2 * DEGREE_CAP_BITS bits
+        if family.k * (n.bit_length() - 1) < DEGREE_CAP_BITS:
+            d = n**family.k
+            if d.bit_length() <= DEGREE_CAP_BITS:
+                return d
+        raise PrecisionOverflow(
+            "degree n^k of %s at n = %d exceeds %d bits"
+            % (family.spec(), n, DEGREE_CAP_BITS)
+        )
     if family.kind == "factorial":
         if n > _FACTORIAL_CAP:
             raise PrecisionOverflow(
@@ -97,9 +113,6 @@ class Orbit:
     alpha: ExactReal
     delta: Fraction
     points: tuple[UnitPoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
 
 
 def _exponent(family: SequenceFamily, n: int) -> int:

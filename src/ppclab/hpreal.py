@@ -516,15 +516,6 @@ class UnitPoint:
         if not self.error >= 0:
             raise ValueError("error must be >= 0")
 
-    def __float__(self) -> float:
-        return float(self.value)
-
-
-def circle_dist(x, y) -> Fraction:
-    """Distance to the nearest integer of x - y, exact."""
-    d = abs(Fraction(x) - Fraction(y)) % 1
-    return min(d, 1 - d)
-
 
 def _keep_bits(delta: Fraction) -> int:
     return max(64, _ceil_log2_inv(delta) + 32)

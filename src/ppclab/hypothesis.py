@@ -94,8 +94,6 @@ class N1Result:
     tail_certified: bool
     note: str
     witness: dict | None
-    n1_search_max: int
-    n2_verify_max: int
 
 
 @dataclass(frozen=True)
@@ -285,8 +283,7 @@ def find_N1(family: SequenceFamily, interval: IntervalSpec, C: float,
     base = last_bad + 1
     if base > n1_search_max:
         return N1Result(None, False,
-                        "violations persist past n1_search_max", witness,
-                        n1_search_max, n2_max)
+                        "violations persist past n1_search_max", witness)
     certifiable = family.kind == "factorial" or (
         family.kind == "monomial" and family.k >= 2)
     if certifiable:
@@ -297,13 +294,11 @@ def find_N1(family: SequenceFamily, interval: IntervalSpec, C: float,
             if n1 > n1_search_max:
                 return N1Result(None, False,
                                 "no index with a certified tail within "
-                                "n1_search_max", witness, n1_search_max, n2_max)
+                                "n1_search_max", witness)
         return N1Result(n1, True,
-                        "tail certified: d_N1*ln(a) >= 2*ln(C)", None,
-                        n1_search_max, n2_max)
+                        "tail certified: d_N1*ln(a) >= 2*ln(C)", None)
     return N1Result(base, False,
-                    "verified up to n2 = %d only" % n2_max, None,
-                    n1_search_max, n2_max)
+                    "verified up to n2 = %d only" % n2_max, None)
 
 
 def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
@@ -312,9 +307,12 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
                      n2_verify_max: int = 500) -> HypothesisReport:
     """Run all five condition checks and assemble the report.
 
-    All four scan bounds, and the sampled geomsum degree, are checked before
-    condition (1) runs.
+    All four scan bounds, the sampled geomsum degree and float(a) > 1 are
+    checked before condition (1) runs.
     """
+    # conditions (3) to (5) are evaluated in floats and divide by a - 1
+    if not float(interval.a) > 1:
+        raise ValueError("a must exceed 1 as a float; it rounds to 1.0")
     if not 2 <= n_max <= N_MAX_CAP:
         raise ValueError("n_max must be in [2, %d], got %d" % (N_MAX_CAP, n_max))
     if not 3 <= grid_size <= GRID_SIZE_CAP:
@@ -392,23 +390,3 @@ def report_to_json(report: HypothesisReport) -> dict:
             "n2_verify_max": report.n2_verify_max,
         },
     }
-
-
-__all__ = [
-    "FAILS",
-    "HOLDS",
-    "SAMPLED",
-    "SKIPPED",
-    "ConditionFailed",
-    "HypothesisReport",
-    "IntervalSpec",
-    "N1Result",
-    "Verdict",
-    "check_condition1",
-    "check_condition2",
-    "check_hypotheses",
-    "condition5_lhs",
-    "estimate_constants",
-    "find_N1",
-    "report_to_json",
-]

@@ -4,10 +4,9 @@ The measure is assembled per integer level M: the target interval shifted by
 M is intersected with [g(a), g(b)] and pulled back through g by bisection.
 All function values and comparisons are exact rationals, so the only error is
 the final bisection bracket width, which is budgeted as tol/(levels+1) per
-endpoint.  The same machinery produces the per-level preimage intervals whose
-left endpoints drive the second-moment analysis.  A map g gives value(x)
-(exact), derivative(x) (float) and lead(x), the pair (d, g(x)/x^d) from which
-the level cap is checked in floats before any exact value.
+endpoint.  A map g gives value(x) (exact), derivative(x) (float) and lead(x),
+the pair (d, g(x)/x^d) from which the level cap is checked in floats before
+any exact value.
 
 Degrees are capped through the level count (about g(b) levels), so the exact
 route is a desk-scale instrument; large-degree behavior is reached through
@@ -80,12 +79,6 @@ class CircleInterval:
             return 1 - self.c + self.d
         return self.d - self.c
 
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        if self.wraps:
-            return x >= self.c or x <= self.d
-        return self.c <= x <= self.d
-
     def pieces(self) -> list[tuple[Fraction, Fraction]]:
         """Plain subintervals of [0,1] covering the set."""
         if self.wraps:
@@ -98,7 +91,6 @@ class PreimageInterval:
     M: int
     left: float
     right: float
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -261,7 +253,6 @@ def level_set_measure(g, interval: IntervalSpec, target: CircleInterval,
     m_hi = math.ceil(gb)
     levels = m_hi - m_lo
     iters = _iterations(interval, levels, tol_frac)
-    atol = float(tol_frac / (levels + 1))
     intervals: list[PreimageInterval] = []
     total = Fraction(0)
     for M in range(m_lo, m_hi + 1):
@@ -271,7 +262,7 @@ def level_set_measure(g, interval: IntervalSpec, target: CircleInterval,
                 continue
             x_lo, x_hi = got
             total += x_hi - x_lo
-            intervals.append(PreimageInterval(M, float(x_lo), float(x_hi), atol))
+            intervals.append(PreimageInterval(M, float(x_lo), float(x_hi)))
     width = interval.b - interval.a
     if total > width:
         total = width
@@ -297,29 +288,6 @@ def lemma_bounds_check(result: MeasureResult, target: CircleInterval) -> LemmaBo
     return LemmaBounds(lower, upper, scaled)
 
 
-def preimage_intervals(g, interval: IntervalSpec, level_halfwidth,
-                       tol=Fraction(1, 10**9)) -> list[PreimageInterval]:
-    """One interval per integer level M with |g(alpha) - M| <= halfwidth."""
-    half = Fraction(level_halfwidth)
-    if not 0 <= half <= Fraction(1, 2):
-        raise ValueError("level_halfwidth must lie in [0, 1/2]")
-    tol_frac = _validate_tol(tol)
-    ga, gb = _checked_range(g, interval)
-    m_first = math.ceil(ga - half)
-    m_last = math.floor(gb + half)
-    levels = max(m_last - m_first, 0)
-    iters = _iterations(interval, levels, tol_frac)
-    atol = float(tol_frac / (levels + 1))
-    out: list[PreimageInterval] = []
-    for M in range(m_first, m_last + 1):
-        got = _band_preimage(g, interval, ga, gb, M - half, M + half, iters)
-        if got is None:
-            continue
-        x_lo, x_hi = got
-        out.append(PreimageInterval(M, float(x_lo), float(x_hi), atol))
-    return out
-
-
 def measure_to_json(result: MeasureResult) -> dict:
     """JSON form of a MeasureResult, schema `measure-result v1`."""
     return {
@@ -334,19 +302,3 @@ def measure_to_json(result: MeasureResult) -> dict:
         ],
         "tol": result.tolerance,
     }
-
-
-__all__ = [
-    "CircleInterval",
-    "DifferenceMap",
-    "LemmaBounds",
-    "LevelCapExceeded",
-    "MeasureResult",
-    "NonMonotone",
-    "PowerMap",
-    "PreimageInterval",
-    "lemma_bounds_check",
-    "level_set_measure",
-    "measure_to_json",
-    "preimage_intervals",
-]

@@ -257,19 +257,3 @@ def read_points(path) -> list[UnitPoint]:
             "header declares N=%d but file holds %d points" % (n_declared, len(points))
         )
     return points
-
-
-__all__ = [
-    "DiscrepancyResult",
-    "PairCorrelationResult",
-    "TooBlurry",
-    "check_resolution",
-    "format_point",
-    "gap_spectrum",
-    "naive_pair_count",
-    "pair_count",
-    "points_text",
-    "ppc_curve",
-    "read_points",
-    "star_discrepancy",
-]

@@ -226,16 +226,3 @@ def series_to_json(series: SecondMomentSeries) -> dict:
         "fitted_exponent": series.fitted_exponent,
         "fitted_log_constant": series.fitted_log_constant,
     }
-
-
-__all__ = [
-    "QuadratureSpec",
-    "SecondMomentSeries",
-    "decay_fit",
-    "default_delta",
-    "quadrature_nodes",
-    "second_moment_series",
-    "series_to_csv",
-    "series_to_json",
-    "splitmix64_stream",
-]

@@ -73,14 +73,18 @@ def test_orbit_precision_budget_is_precision_failure(capsys):
     doc = json.loads(err.splitlines()[0])
     assert doc["error"] == "precision"
     # degrees beyond the float range in the condition (5) scan and in the
-    # walk's planner, whose message names a degree past str()'s digit limit
-    # by its size
+    # walk's planner, and degrees past families.DEGREE_CAP_BITS, rejected
+    # before the power n^k (3^(10^9) alone has 1.6 Gbit)
     for argv in (["hypothesis", "--family", "monomial:k=1100", "--a", "1.5",
                   "--b", "2", "--n1-max", "3", "--n2-max", "5"],
                  ["orbit", "--family", "monomial:k=1100", "--alpha", "1.5",
                   "--N", "3"],
                  ["orbit", "--family", "monomial:k=15000", "--alpha", "1.5",
-                  "--N", "3"]):
+                  "--N", "3"],
+                 ["orbit", "--family", "monomial:k=1000000000",
+                  "--alpha", "1.5", "--N", "3"],
+                 ["hypothesis", "--family", "monomial:k=1000000000",
+                  "--a", "1.5", "--b", "2"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         lines = err.splitlines()
@@ -424,6 +428,15 @@ def test_stdout_matches_file_output(tmp_path, capsys):
      "--grid-size", "100000000"],
     ["measure", "--a", "1.1", "--b", "1.2", "--degree", "2",
      "--target-c", "0", "--target-d", "0.25", "--tol", "1e-400"],
+    # an a above 1 that rounds to 1.0, where conditions (3)-(5) run
+    ["hypothesis", "--family", "monomial:k=2",
+     "--a", "1.00000000000000000001", "--b", "2"],
+    ["hypothesis", "--family", "geomsum:k=1",
+     "--a", "1.00000000000000000001", "--b", "2"],
+    ["hypothesis", "--family", "linpow",
+     "--a", "1.00000000000000000001", "--b", "2"],
+    ["hypothesis", "--family", "factorial",
+     "--a", "1.00000000000000000001", "--b", "2"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -29,7 +29,6 @@ from ppclab.hpreal import (
     ExactReal,
     IndeterminateFrac,
     PrecisionOverflow,
-    circle_dist,
     frac_walk,
     parse_alpha,
     pow_frac,
@@ -42,6 +41,12 @@ LIN = SequenceFamily("linpow")
 KRON = SequenceFamily("kronecker")
 
 DELTA = Fraction(1, 2**40)
+
+
+def circle_dist(x, y) -> Fraction:
+    """Distance to the nearest integer of x - y, exact."""
+    d = abs(Fraction(x) - Fraction(y)) % 1
+    return min(d, 1 - d)
 
 
 def geomsum_oracle(x: Fraction, d: int) -> Fraction:
@@ -91,6 +96,20 @@ def test_degree_values():
         degree(FACT, 21)
     with pytest.raises(ValueError):
         degree(MON2, 0)
+
+
+def test_degree_cap_is_checked_before_the_power():
+    # 2^2048 has 2049 bits, one past the cap; 2^1100 is the largest degree
+    # the measure tests build
+    assert degree(SequenceFamily("monomial", 1100), 2) == 2**1100
+    assert degree(SequenceFamily("monomial", 2047), 2) == 2**2047
+    assert degree(SequenceFamily("geomsum", 10**9), 1) == 1
+    assert degree(SequenceFamily("monomial", 4), 2**512 - 1).bit_length() == 2048
+    for k, n in ((2048, 2), (4, 2**512), (10**9, 2), (10**9, 10**9)):
+        with pytest.raises(PrecisionOverflow, match="2048 bits"):
+            degree(SequenceFamily("monomial", k), n)
+        with pytest.raises(PrecisionOverflow, match="2048 bits"):
+            degree(SequenceFamily("geomsum", k), n)
 
 
 def test_degrees_strictly_increase():
@@ -153,7 +172,7 @@ def test_orbit_monomial_exact_small_case():
 def test_orbit_matches_per_index_eval():
     alpha = parse_alpha("1.8", 128)
     orb = orbit(MON2, alpha, 200, DELTA)
-    assert len(orb) == 200
+    assert len(orb.points) == 200
     for n in (1, 2, 3, 50, 113, 200):
         single = single_point(MON2, alpha, n)
         assert circle_dist(orb.points[n - 1].value, single.value) <= 2 * DELTA

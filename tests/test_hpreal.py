@@ -27,7 +27,6 @@ from ppclab.hpreal import (
     LITERAL_EXP_CAP,
     check_delta,
     check_literal,
-    circle_dist,
     frac_point,
     parse_alpha,
     pow_frac,
@@ -42,6 +41,12 @@ def _radius(r: tuple[int, int]) -> Fraction:
 
 def _mid(x: Ball) -> Fraction:
     return Fraction(int(x.man)) * Fraction(2) ** x.exp
+
+
+def circle_dist(x, y) -> Fraction:
+    """Distance to the nearest integer of x - y, exact."""
+    d = abs(Fraction(x) - Fraction(y)) % 1
+    return min(d, 1 - d)
 
 
 def exact_frac_power(alpha: Fraction, d: int) -> Fraction:

@@ -236,6 +236,10 @@ def test_report_rejects_bad_bounds_before_condition_one(monkeypatch):
                        {"grid_size": 100_000_000}):
             with pytest.raises(ValueError, match="must be|need 2"):
                 check_hypotheses(parse_family(fam), AB, **bounds)
+        # 1 < a exactly, but float(a) == 1.0
+        near_one = IntervalSpec("1.00000000000000000001", 2)
+        with pytest.raises(ValueError, match="a must exceed 1 as a float"):
+            check_hypotheses(parse_family(fam), near_one)
 
 
 def test_report_caps_the_condition5_scan(monkeypatch):

@@ -16,7 +16,6 @@ from ppclab.measure import (
     lemma_bounds_check,
     level_set_measure,
     measure_to_json,
-    preimage_intervals,
 )
 
 TOL = Fraction(1, 10**9)
@@ -30,8 +29,6 @@ AB = IntervalSpec(Fraction("1.1"), Fraction("1.2"))
 def test_circle_interval_arc():
     arc = CircleInterval.arc(Fraction(1, 4), Fraction(3, 4))
     assert arc.length == Fraction(1, 2)
-    assert arc.contains(Fraction(1, 2))
-    assert not arc.contains(Fraction(9, 10))
     assert arc.pieces() == [(Fraction(1, 4), Fraction(3, 4))]
     with pytest.raises(ValueError):
         CircleInterval.arc(Fraction(3, 4), Fraction(1, 4))
@@ -42,9 +39,6 @@ def test_circle_interval_arc():
 def test_circle_interval_wrap():
     w = CircleInterval.wrap(Fraction(9, 10), Fraction(1, 10))
     assert w.length == Fraction(1, 5)
-    assert w.contains(Fraction(95, 100))
-    assert w.contains(Fraction(5, 100))
-    assert not w.contains(Fraction(1, 2))
     assert len(w.pieces()) == 2
     with pytest.raises(ValueError):
         CircleInterval.wrap(Fraction(1, 10), Fraction(9, 10))
@@ -188,49 +182,6 @@ def test_residual_scaled_bounded_across_degrees():
 
 
 # ---------------------------------------------------------------------------
-# preimage intervals
-# ---------------------------------------------------------------------------
-
-def test_preimage_band_covers_domain():
-    out = preimage_intervals(PowerMap(2), AB, Fraction(1, 2), TOL)
-    assert len(out) == 1
-    iv = out[0]
-    assert iv.M == 1
-    assert iv.left == pytest.approx(1.1, abs=1e-12)
-    assert iv.right == pytest.approx(1.2, abs=1e-12)
-
-
-def test_preimage_band_sqrt_oracle():
-    domain = IntervalSpec(Fraction("1.4"), Fraction("1.5"))
-    out = preimage_intervals(PowerMap(2), domain, Fraction(1, 100), TOL)
-    assert len(out) == 1
-    iv = out[0]
-    assert iv.M == 2
-    assert iv.left == pytest.approx(math.sqrt(1.99), abs=1e-8)
-    assert iv.right - iv.left == pytest.approx(
-        math.sqrt(2.01) - math.sqrt(1.99), abs=1e-8
-    )
-
-
-def test_preimage_zero_halfwidth():
-    domain = IntervalSpec(Fraction("1.4"), Fraction("1.5"))
-    out = preimage_intervals(PowerMap(2), domain, 0, TOL)
-    assert len(out) == 1
-    iv = out[0]
-    assert iv.right - iv.left <= 2 * iv.tolerance
-    assert iv.left == pytest.approx(math.sqrt(2), abs=1e-8)
-    # no integer level is hit on [1.1, 1.2]: 1.21 <= x^2 <= 1.44
-    assert preimage_intervals(PowerMap(2), AB, 0, TOL) == []
-
-
-def test_preimage_halfwidth_validation():
-    with pytest.raises(ValueError):
-        preimage_intervals(PowerMap(2), AB, Fraction(3, 5), TOL)
-    with pytest.raises(ValueError):
-        preimage_intervals(PowerMap(2), AB, -1, TOL)
-
-
-# ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
 
@@ -238,14 +189,10 @@ def test_level_cap():
     wide = IntervalSpec(Fraction("1.1"), Fraction("1.3"))
     with pytest.raises(LevelCapExceeded):
         level_set_measure(PowerMap(120), wide, CircleInterval.arc(0, 1), TOL)
-    with pytest.raises(LevelCapExceeded):
-        preimage_intervals(PowerMap(120), wide, Fraction(1, 10), TOL)
     # 1.2^78 - 1.1^78 is about 1.5e6 levels: inside the float pre-check's
     # factor-2 margin, so the exact level count rejects it
     with pytest.raises(LevelCapExceeded):
         level_set_measure(PowerMap(78), AB, CircleInterval.arc(0, 1), TOL)
-    with pytest.raises(LevelCapExceeded):
-        preimage_intervals(PowerMap(78), AB, Fraction(1, 10), TOL)
 
 
 def test_level_cap_rejects_far_degrees_before_exact_powers(monkeypatch):
@@ -262,8 +209,6 @@ def test_level_cap_rejects_far_degrees_before_exact_powers(monkeypatch):
     for g in far:
         with pytest.raises(LevelCapExceeded):
             level_set_measure(g, AB, target, TOL)
-        with pytest.raises(LevelCapExceeded):
-            preimage_intervals(g, AB, Fraction(1, 10), TOL)
 
 
 class _Decreasing:
