@@ -348,19 +348,18 @@ def _cmd_second_moment(ns) -> str:
 # -------------------------------------------------------------------- parser
 
 
-def _add_family_alpha(sub, alpha_required=True, family_required=True):
-    sub.add_argument("--family", required=family_required,
+def _add_family(sub, required: bool):
+    sub.add_argument("--family", required=required,
                      help="sequence family spec, e.g. monomial:k=2, "
                           "geomsum:k=3, factorial, linpow, kronecker")
-    sub.add_argument("--alpha", required=alpha_required,
-                     help="alpha as decimal or fraction text; parsed to "
-                          "128 fractional bits")
 
 
 def _add_orbit_flags(sub, from_file: bool, delta_default: str):
     """--family/--alpha/--N/--delta, required unless --in may replace them."""
-    _add_family_alpha(sub, alpha_required=not from_file,
-                      family_required=not from_file)
+    _add_family(sub, required=not from_file)
+    sub.add_argument("--alpha", required=not from_file,
+                     help="alpha as decimal or fraction text; parsed to "
+                          "128 fractional bits")
     if from_file:
         sub.add_argument("--in", dest="infile", help="ppc-points v1 file")
     sub.add_argument("--N", type=int, required=not from_file,
@@ -403,12 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
                         formatter_class=_Formatter,
                         help="star discrepancy of an orbit or file")
     _add_orbit_flags(p, True, "2^-40")
-    p.add_argument("--format", choices=("json",), default="json")
 
     p = subs.add_parser("hypothesis", parents=[shared],
                         formatter_class=_Formatter,
                         help="check the five growth/convexity conditions")
-    _add_family_alpha(p, alpha_required=False)
+    _add_family(p, required=True)
     p.add_argument("--a", required=True, help="interval left endpoint (> 1)")
     p.add_argument("--b", required=True, help="interval right endpoint")
     p.add_argument("--n-max", type=int, default=8, dest="n_max",
@@ -428,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, help="interval right endpoint")
     p.add_argument("--degree", type=int,
                    help="use g(alpha) = alpha^degree")
-    _add_family_alpha(p, alpha_required=False, family_required=False)
+    _add_family(p, required=False)
     p.add_argument("--n1", type=int, help="difference map lower index")
     p.add_argument("--n2", type=int, help="difference map upper index")
     p.add_argument("--target-c", required=True, dest="target_c",
@@ -444,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("second-moment", parents=[shared],
                         formatter_class=_Formatter,
                         help="variance of the statistic over alpha nodes")
-    _add_family_alpha(p, alpha_required=False, family_required=False)
+    _add_family(p, required=False)
     p.add_argument("--a", help="interval left endpoint (> 1)")
     p.add_argument("--b", help="interval right endpoint")
     p.add_argument("--s", help="pair-correlation scale")

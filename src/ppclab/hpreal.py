@@ -4,9 +4,9 @@ The central problem: given a dyadic rational alpha > 1 and a degree d that may
 reach 10^6, produce frac(alpha^d) with a proven absolute error bound.  The
 integer part of alpha^d carries ~ d*log2(alpha) bits, so any route to the
 fractional part must work at that precision.  Everything here is built on
-exact integer mantissas (gmpy2 when available) with outward-rounded error
-radii, so results are certified and bit-reproducible: no floating-point state,
-no rounding modes, no library-version drift.
+exact integer mantissas (Python ints) with outward-rounded error radii, so
+results are certified and bit-reproducible: no floating-point state, no
+rounding modes, no library-version drift.
 
 Layers:
 
@@ -29,12 +29,11 @@ enclosure is still wider than the tolerance, that segment is retried exactly
 once at doubled precision, and then IndeterminateFrac is raised with the
 point's orbit index.
 
-Multiply backend, chosen once at import: with gmpy2 the mantissas are mpz
-and _mul is plain *; otherwise, where the system's libgmp.so.10 loads
-through ctypes, products of large operands run GMP's mpn_mul/mpn_sqr and
-small ones stay on CPython's int; otherwise everything is CPython's int.
-Every backend returns the exact product, so the bits of every result are the
-same on all three; only the time differs.
+Multiply backend, chosen once at import: where the system's libgmp.so.10
+loads through ctypes, products of large operands run GMP's mpn_mul/mpn_sqr
+and small ones stay on CPython's int; otherwise every product is CPython's
+int multiply.  Mantissas are ints on both, and both return the exact
+product, so the bits of every result are the same; only the time differs.
 """
 
 from __future__ import annotations
@@ -46,12 +45,6 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = int
-
 
 # Largest working precision a plan may ask for: 2^30 mantissa bits, 128 MiB
 # per operand.  The largest plan any test or workload uses is ~3.6 Mbit.
@@ -110,7 +103,7 @@ def _r_norm(man: int, exp: int) -> tuple[int, int]:
         if man.bit_length() > _RAD_BITS:
             man >>= 1
             exp += 1
-    return (int(man), exp)
+    return (man, exp)
 
 
 def _r_add(r1: tuple[int, int], r2: tuple[int, int]) -> tuple[int, int]:
@@ -368,10 +361,8 @@ def _libgmp_mul(lib):
 
 
 def _select_mul():
-    """(multiply, backend name): gmpy2's mpz if present, else libgmp through
-    ctypes above the size threshold, else CPython's int multiply."""
-    if _mpz is not int:
-        return operator.mul, "gmpy2"
+    """(multiply, backend name): libgmp through ctypes above the size
+    threshold, else CPython's int multiply."""
     lib = _load_libgmp()
     if lib is None:
         return operator.mul, "python int"
@@ -393,8 +384,8 @@ class Ball:
 
     __slots__ = ("man", "exp", "rad")
 
-    def __init__(self, man, exp: int, rad: tuple[int, int] = _R_ZERO):
-        self.man = _mpz(man)
+    def __init__(self, man: int, exp: int, rad: tuple[int, int] = _R_ZERO):
+        self.man = man
         self.exp = exp
         self.rad = rad
 
@@ -403,7 +394,7 @@ class Ball:
         return cls(x.num, x.exp)
 
     def magnitude_upper(self) -> tuple[int, int]:
-        return _r_norm(int(abs(self.man)), self.exp)
+        return _r_norm(abs(self.man), self.exp)
 
 
 def _round_mantissa(man, exp: int, prec: int):
@@ -461,7 +452,7 @@ def ball_pow(base: Ball, d: int, prec: int) -> Ball:
 
 def ball_sub_int(x: Ball, k: int, prec: int) -> Ball:
     if x.exp <= 0:
-        man = x.man - (_mpz(k) << -x.exp)
+        man = x.man - (k << -x.exp)
         exp = x.exp
     else:
         man = (x.man << x.exp) - k
@@ -477,21 +468,20 @@ def ball_div_exact(x: Ball, y: ExactReal, prec: int) -> Ball:
     """Divide an enclosure by an exact positive dyadic."""
     if y.num <= 0:
         raise ValueError("divisor must be positive")
-    ynum = _mpz(y.num)
     if x.man == 0:
-        q, qexp = _mpz(0), 0
+        q, qexp = 0, 0
         trunc = _R_ZERO
     else:
-        sh = max(0, prec + 2 - x.man.bit_length() + ynum.bit_length())
-        q, rem = divmod(x.man << sh, ynum)
+        sh = max(0, prec + 2 - x.man.bit_length() + y.num.bit_length())
+        q, rem = divmod(x.man << sh, y.num)
         qexp = x.exp - y.exp - sh
         trunc = _R_ZERO if rem == 0 else (1, qexp)
     rad = trunc
     if x.rad[0]:
         # upper bound of 1/y
-        t = ynum.bit_length() + _RAD_BITS + 2
-        inv = ((1 << t) // ynum) + 1
-        rad = _r_add(rad, _r_mul(x.rad, _r_norm(int(inv), -t - y.exp)))
+        t = y.num.bit_length() + _RAD_BITS + 2
+        inv = ((1 << t) // y.num) + 1
+        rad = _r_add(rad, _r_mul(x.rad, _r_norm(inv, -t - y.exp)))
     man, exp, err = _round_mantissa(q, qexp, prec)
     if err is not None:
         rad = _r_add(rad, (1, err))
@@ -543,7 +533,7 @@ def frac_point(ball: Ball, delta) -> UnitPoint:
             fman >>= fbits - keep
             fbits = keep
             rad = _r_add(rad, (1, -keep))
-        value = Fraction(int(fman), 1 << fbits)
+        value = Fraction(fman, 1 << fbits)
     if not _r_leq(rad, delta_f):
         raise IndeterminateFrac(
             "enclosure radius %s exceeds tolerance %s" % (_r_float(rad), float(delta_f))

@@ -110,6 +110,15 @@ class HypothesisReport:
     n2_verify_max: int
 
 
+def _float_a(interval: IntervalSpec) -> float:
+    """float(a) for conditions (3) to (5), which run in floats and divide by
+    a - 1; an a that rounds to 1.0 is rejected."""
+    a = float(interval.a)
+    if not a > 1:
+        raise ValueError("a must exceed 1 as a float; it rounds to 1.0")
+    return a
+
+
 def _grid(interval: IntervalSpec, grid_size: int) -> list[Fraction]:
     if grid_size < 3:
         raise ValueError("grid_size must be >= 3")
@@ -183,7 +192,7 @@ def estimate_constants(family: SequenceFamily, interval: IntervalSpec,
         raise FamilyError("constants are undefined for constant-degree families")
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
-    a = float(interval.a)
+    a = _float_a(interval)
     b = float(interval.b)
     if family.kind == "monomial":
         # ratio = 1 - alpha^(d1-d2) lies in [1 - 1/a, 1), so
@@ -274,7 +283,7 @@ def find_N1(family: SequenceFamily, interval: IntervalSpec, C: float,
         raise ValueError("search bounds must be >= 2")
     if family.kind == "kronecker":
         raise FamilyError("condition (5) is undefined for constant-degree families")
-    a = float(interval.a)
+    a = _float_a(interval)
     n2_max = n2_verify_max
     if family.kind == "factorial":
         # degree cap: factorial indices stop at 20
@@ -310,9 +319,7 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
     All four scan bounds, the sampled geomsum degree and float(a) > 1 are
     checked before condition (1) runs.
     """
-    # conditions (3) to (5) are evaluated in floats and divide by a - 1
-    if not float(interval.a) > 1:
-        raise ValueError("a must exceed 1 as a float; it rounds to 1.0")
+    _float_a(interval)
     if not 2 <= n_max <= N_MAX_CAP:
         raise ValueError("n_max must be in [2, %d], got %d" % (N_MAX_CAP, n_max))
     if not 3 <= grid_size <= GRID_SIZE_CAP:

@@ -142,12 +142,7 @@ def test_radius_sum_is_an_upper_bound(m1, e1, m2, e2):
     assert _radius(_r_add(r1, r2)) >= _radius(r1) + _radius(r2)
 
 
-# the seam, and its libgmp route wherever the library loads (also beside
-# gmpy2, where the seam itself is plain *)
-_LIBGMP = hpreal._load_libgmp()
-_MULS = (hpreal._mul,)
-if _LIBGMP is not None:
-    _MULS += (hpreal._libgmp_mul(_LIBGMP),)
+# the seam is the libgmp route wherever the library loads, else plain *
 _EDGE_BITS = (1, 63, 64, 65, 128, 20000) + tuple(
     t + d for t in (hpreal._GMP_SMALLER_BITS, hpreal._GMP_LARGER_BITS)
     for d in (-65, -64, -1, 0, 1))
@@ -175,5 +170,4 @@ def mantissas(draw) -> int:
 def test_mul_seam_is_the_exact_product(a, b, square):
     if square:
         b = a  # the same object, as in ball_pow's squarings
-    for mul in _MULS:
-        assert mul(a, b) == a * b
+    assert hpreal._mul(a, b) == a * b

@@ -256,6 +256,24 @@ def test_importing_hpreal_loads_no_other_ppclab_module():
     assert json.loads(done.stdout) == ["ppclab", "ppclab.hpreal"]
 
 
+def test_an_installed_gmpy2_changes_no_mantissa_type(tmp_path):
+    # a gmpy2 first on the path is neither imported nor used: mantissas stay
+    # int and the backend is libgmp or CPython's int
+    (tmp_path / "gmpy2.py").write_text("class mpz(int):\n    pass\n")
+    probe = ("import json, sys, ppclab.cli\n"
+             "from ppclab.hpreal import MUL_BACKEND, Ball, ball_mul\n"
+             "print(json.dumps(['gmpy2' in sys.modules, MUL_BACKEND,\n"
+             "    type(ball_mul(Ball(3, 0), Ball(5, 0), 64).man) is int]))")
+    src = os.path.dirname(os.path.dirname(ppclab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded, backend, man_is_int = json.loads(done.stdout)
+    assert not loaded
+    assert backend != "gmpy2"
+    assert man_is_int
+
+
 def test_mul_seam_falls_back_to_int_without_libgmp(monkeypatch):
     def missing(name):
         raise OSError("%s: cannot open shared object file" % name)
@@ -264,4 +282,4 @@ def test_mul_seam_falls_back_to_int_without_libgmp(monkeypatch):
     assert hpreal._load_libgmp() is None
     mul, backend = hpreal._select_mul()
     assert mul is operator.mul
-    assert backend in ("gmpy2", "python int")
+    assert backend == "python int"

@@ -108,6 +108,16 @@ def test_grid_constants_match_direct_minimization():
     assert C == pytest.approx(best_r * 1.01, rel=1e-12)
 
 
+def test_constants_and_n1_reject_an_a_that_rounds_to_one():
+    # 1 < a exactly, but float(a) == 1.0 and the constants divide by a - 1
+    near_one = IntervalSpec("1.00000000000000000001", 2)
+    for fam in ("monomial:k=2", "geomsum:k=1", "linpow"):
+        with pytest.raises(ValueError, match="a must exceed 1 as a float"):
+            estimate_constants(parse_family(fam), near_one, 8, 64)
+        with pytest.raises(ValueError, match="a must exceed 1 as a float"):
+            find_N1(parse_family(fam), near_one, 4.0, 20, 40)
+
+
 def test_constants_reject_kronecker():
     with pytest.raises(FamilyError):
         estimate_constants(parse_family("kronecker"), AB, 8, 16)
