@@ -19,12 +19,12 @@ wherever it is raised, is a usage error and exits 1, so library messages
 never print an unbounded int in full.  An --out file that cannot be written
 is the one usage error reported after the computation.
 
-Caps, each checked before any work: a number literal's decimal exponent
-(hpreal.LITERAL_EXP_CAP, 4300), orbit points (families.ORBIT_N_CAP, 100000),
---n-max, --grid-size and --n2-max of hypothesis (20, 256, 5000) and its
-sampled geomsum degree n_max^k + 1 (1025), a degree n^k
-(families.DEGREE_CAP_BITS, 2048 bits), --tol of measure ([1e-30, 1e-6]) and
---K of second-moment (4096).  Every emitted
+Caps, each checked before any work: the decimal exponent of a number in a
+flag or an --in point line (hpreal.LITERAL_EXP_CAP, 4300), orbit points
+(families.ORBIT_N_CAP, 100000), --n-max, --grid-size and --n2-max of
+hypothesis (20, 256, 5000) and its sampled geomsum degree n_max^k + 1
+(1025), a degree n^k (families.DEGREE_CAP_BITS, 2048 bits), --tol of
+measure ([1e-30, 1e-6]) and --K of second-moment (4096).  Every emitted
 artifact embeds the run configuration so it can be replayed byte for byte;
 the output path and thread count are deliberately left out of that block so
 replays to a different location, or with different parallelism, compare equal.
@@ -34,10 +34,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +56,6 @@ from ppclab.measure import (
     LevelCapExceeded,
     NonMonotone,
     PowerMap,
-    lemma_bounds_check,
     level_set_measure,
     measure_to_json,
 )
@@ -73,6 +70,7 @@ from ppclab.paircorr import (
 )
 from ppclab.secondmoment import (
     QuadratureSpec,
+    WorkerFailed,
     decay_fit,
     default_delta,
     second_moment_series,
@@ -80,7 +78,6 @@ from ppclab.secondmoment import (
     series_to_json,
 )
 
-_DEFAULT_DELTA = "1/1099511627776"  # 2^-40
 _SELFTEST_N = (125, 250, 500, 1000)
 
 
@@ -170,11 +167,11 @@ def _statistic_csv(rows) -> str:
 
 
 def _delta(ns, s: Fraction | None, n_max: int) -> tuple[str, Fraction]:
-    """--delta as text and value; by default 2^-40, or for a pair statistic
-    at scale s the finer default_delta(s, n_max)."""
+    """--delta as text and value; by default default_delta(s, n_max): 2^-40,
+    or finer for a pair statistic at scale s."""
     text = ns.delta
     if text is None:
-        text = _DEFAULT_DELTA if s is None else str(default_delta(s, n_max))
+        text = str(default_delta(s, n_max))
     return text, _frac(text, "--delta")
 
 
@@ -308,15 +305,7 @@ def _cmd_measure(ns) -> str:
     cfg = RunConfig("measure", family=ns.family, a=ns.a, b=ns.b,
                     extras=tuple(extras))
     result = level_set_measure(g, interval, target, tol)
-    bounds = lemma_bounds_check(result, target)
-    doc = measure_to_json(result)
-    doc["lemma_bounds"] = {
-        "lower_main": bounds.lower_main,
-        "upper_main": (None if math.isinf(bounds.upper_main)
-                       else bounds.upper_main),
-        "residual_scaled": bounds.residual_scaled,
-    }
-    return _json_payload(doc, cfg)
+    return _json_payload(measure_to_json(result, target), cfg)
 
 
 def _cmd_second_moment(ns) -> str:
@@ -326,8 +315,8 @@ def _cmd_second_moment(ns) -> str:
         return "exponent %.3f\n" % slope
     if ns.family is None or ns.a is None or ns.b is None or ns.s is None:
         raise _UsageError("need --family, --a, --b and --s")
-    if ns.N_list is None and ns.N is None:
-        raise _UsageError("need --N-list (or --N)")
+    if (ns.N is None) == (ns.N_list is None):
+        raise _UsageError("need exactly one of --N or --N-list")
     family = parse_family(ns.family)
     interval = _interval(ns)
     s = _frac(ns.s, "--s")
@@ -505,7 +494,7 @@ def main(argv=None) -> int:
     # they are caught before the usage clause
     except (LevelCapExceeded, NonMonotone, TooBlurry) as exc:
         return _fail({"error": "numeric", "detail": str(exc)}, 2)
-    except BrokenProcessPool as exc:  # a second-moment worker died
+    except WorkerFailed as exc:  # a second-moment worker died
         return _fail({"error": "worker", "detail": str(exc)}, 2)
     except ValueError as exc:  # _UsageError and every library input rule
         return _fail({"error": "usage", "detail": str(exc)}, 1)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from ppclab.hpreal import ExactReal, PrecisionOverflow, UnitPoint, check_delta, frac_walk
 
-_FACTORIAL_CAP = 20
+FACTORIAL_CAP = 20
 
 # Most bits of a monomial or geomsum degree n^k, checked before the power.
 # It lies above the float range (2^1024) that hypothesis and measure can use
@@ -34,8 +34,7 @@ DEGREE_CAP_BITS = 1 << 11
 # Kronecker walk is built.  The largest orbit any test or workload uses has
 # 5000 points (criterion 4).  linpow at alpha 1.5 took 0.05 s at N=5000,
 # 0.75 s at 5*10^4 and 1.8 s (50 MB peak RSS) at 10^5, and kronecker 1.0 s at
-# 10^5 (2-CPU host, no gmpy2); higher-degree families reach PREC_BUDGET_BITS
-# first.
+# 10^5 (2-CPU host); higher-degree families reach PREC_BUDGET_BITS first.
 ORBIT_N_CAP = 100_000
 
 _KINDS_WITH_K = ("monomial", "geomsum")
@@ -75,10 +74,7 @@ def parse_family(spec: str) -> SequenceFamily:
         return SequenceFamily(spec)
     m = _SPEC_RE.match(spec)
     if m:
-        k = int(m.group(2))
-        if k < 1:
-            raise FamilyError("k must be >= 1 in %r" % spec)
-        return SequenceFamily(m.group(1), k)
+        return SequenceFamily(m.group(1), int(m.group(2)))
     raise FamilyError("unrecognized family spec %r" % spec)
 
 
@@ -99,9 +95,9 @@ def degree(family: SequenceFamily, n: int) -> int:
             % (family.spec(), n, DEGREE_CAP_BITS)
         )
     if family.kind == "factorial":
-        if n > _FACTORIAL_CAP:
+        if n > FACTORIAL_CAP:
             raise PrecisionOverflow(
-                "factorial degree rejected for n = %d (cap n <= %d)" % (n, _FACTORIAL_CAP)
+                "factorial degree rejected for n = %d (cap n <= %d)" % (n, FACTORIAL_CAP)
             )
         return math.factorial(n)
     return n  # linpow, kronecker

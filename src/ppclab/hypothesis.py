@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ppclab.families import (
+    FACTORIAL_CAP,
     FamilyError,
     SequenceFamily,
     degree,
@@ -37,15 +38,14 @@ SAMPLED = "sampled-holds"
 SKIPPED = "skipped"
 
 # Largest n2_verify_max: the condition (5) scan is O(n2^2) (about 0.2 s at
-# the default 500 and 15 s at 4000 on a 2-CPU host without gmpy2).
+# the default 500 and 15 s at 4000 on a 2-CPU host).
 N2_VERIFY_CAP = 5000
 
 # Largest n_max and grid_size.  The exact condition (2) sampling of geomsum
 # costs O(n_max^2 * grid_size) rational powers of degree up to n_max^k; for
 # geomsum:k=2 on [1.5, 2] it took 0.3 s at the defaults (8, 64), 1.0 s at
 # (16, 64), 11 s at (32, 64), 1.8 s at (8, 1024) and 8-9 s at the caps
-# (20, 256) on a 2-CPU host without gmpy2.  n_max 20 is also the factorial
-# degree cap.
+# (20, 256) on a 2-CPU host.  n_max 20 is also families.FACTORIAL_CAP.
 N_MAX_CAP = 20
 GRID_SIZE_CAP = 256
 
@@ -53,8 +53,8 @@ GRID_SIZE_CAP = 256
 # takes powers of.  On [1.5, 2] at grid 64 (256) it took 0.37 s (1.6 s) at
 # degree 513 (k=3, n_max 8), 0.97 s (7.0 s) at 1001 (k=3, n_max 10), 2.7 s
 # (27 s) at 1729 (k=3, n_max 12) and 8.3 s at 2745 (k=3, n_max 14), on a
-# 2-CPU host without gmpy2.  At 1025 no scan inside the caps takes longer
-# than the 8 s of k=2 at (20, 256).
+# 2-CPU host.  At 1025 no scan inside the caps takes longer than the 8 s
+# of k=2 at (20, 256).
 SAMPLED_DEGREE_CAP = 1025
 
 # families whose differences are plain two-term monomial differences,
@@ -286,8 +286,7 @@ def find_N1(family: SequenceFamily, interval: IntervalSpec, C: float,
     a = _float_a(interval)
     n2_max = n2_verify_max
     if family.kind == "factorial":
-        # degree cap: factorial indices stop at 20
-        n2_max = min(n2_max, 20)
+        n2_max = min(n2_max, FACTORIAL_CAP)
     last_bad, witness = _scan_violations(family, C, a, n2_max)
     base = last_bad + 1
     if base > n1_search_max:

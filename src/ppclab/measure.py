@@ -33,7 +33,7 @@ _LEVEL_CAP = 10**6
 _MAX_TOL = Fraction(1, 10**6)
 # Finest tol: each halving adds one bisection step on exact rationals.  The
 # linpow n1=3 n2=12 measure on [1.5, 1.6] took 0.29 s at the default 1e-9,
-# 0.49 s at 1e-30 and 3.1 s at 1e-100 (2-CPU host, no gmpy2).  Results are
+# 0.49 s at 1e-30 and 3.1 s at 1e-100 (2-CPU host).  Results are
 # floats of about 17 digits, so a finer tol adds nothing; below about 1e-308
 # the iteration count's float log2 would overflow.
 _MIN_TOL = Fraction(1, 10**30)
@@ -288,8 +288,10 @@ def lemma_bounds_check(result: MeasureResult, target: CircleInterval) -> LemmaBo
     return LemmaBounds(lower, upper, scaled)
 
 
-def measure_to_json(result: MeasureResult) -> dict:
-    """JSON form of a MeasureResult, schema `measure-result v1`."""
+def measure_to_json(result: MeasureResult, target: CircleInterval) -> dict:
+    """JSON form of a MeasureResult and its lemma bounds for `target`,
+    schema `measure-result v1`."""
+    bounds = lemma_bounds_check(result, target)
     return {
         "schema": "measure-result v1",
         "measure": result.measure,
@@ -301,4 +303,10 @@ def measure_to_json(result: MeasureResult) -> dict:
             for iv in result.intervals
         ],
         "tol": result.tolerance,
+        "lemma_bounds": {
+            "lower_main": bounds.lower_main,
+            "upper_main": (None if math.isinf(bounds.upper_main)
+                           else bounds.upper_main),
+            "residual_scaled": bounds.residual_scaled,
+        },
     }

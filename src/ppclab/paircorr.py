@@ -20,13 +20,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ppclab.families import SequenceFamily, orbit
-from ppclab.hpreal import ExactReal, UnitPoint, check_delta
+from ppclab.hpreal import ExactReal, UnitPoint, check_delta, check_literal
 
 
 class TooBlurry(ValueError):
@@ -176,20 +176,17 @@ def ppc_curve(family: SequenceFamily, alpha: ExactReal, s, N_list: Sequence[int]
 
 
 def star_discrepancy(points: Sequence[UnitPoint]) -> DiscrepancyResult:
-    """D*_N = max_i max(i/N - x_(i), x_(i) - (i-1)/N), computed exactly."""
+    """D*_N = max_i max(i/N - x_(i), x_(i) - (i-1)/N), computed exactly on
+    the integer lattice: with x = u/L it is max(i*L - N*u, N*u - (i-1)*L)
+    over N*L."""
     N = len(points)
     if N < 1:
         raise ValueError("points must be nonempty")
-    xs = sorted(p.value for p in points)
-    best = Fraction(0)
-    for i, x in enumerate(xs, start=1):
-        hi = Fraction(i, N) - x
-        lo = x - Fraction(i - 1, N)
-        if hi > best:
-            best = hi
-        if lo > best:
-            best = lo
-    return DiscrepancyResult(N, float(best))
+    us, L = _lattice(points)
+    us.sort()
+    worst = max(max(i * L - N * u, N * u - (i - 1) * L)
+                for i, u in enumerate(us, start=1))
+    return DiscrepancyResult(N, float(Fraction(worst, N * L)))
 
 
 def gap_spectrum(points: Sequence[UnitPoint]) -> list[Fraction]:
@@ -244,14 +241,12 @@ def read_points(path) -> list[UnitPoint]:
         if line.startswith("#"):
             continue
         text = line.strip()
-        try:
-            value = Decimal(text)
-        except InvalidOperation:
-            raise ValueError("not a decimal: %r" % text[:60]) from None
-        # range check before the exact Fraction, which would expand 1e999999999
-        if not (value.is_finite() and 0 <= value < 1):
+        if "/" in text:
+            raise ValueError("not a decimal: %r" % text[:60])
+        value = check_literal(text)
+        if not 0 <= value < 1:
             raise ValueError("point outside [0,1): %r" % text[:60])
-        points.append(UnitPoint(Fraction(value), 0.0))
+        points.append(UnitPoint(value, 0.0))
     if len(points) != n_declared:
         raise ValueError(
             "header declares N=%d but file holds %d points" % (n_declared, len(points))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -35,6 +34,10 @@ _MASK64 = (1 << 64) - 1
 # Most quadrature nodes a sweep may ask for.  Nodes are built before any
 # work and each costs one orbit; criterion 8 uses 32 and the CLI default is 16.
 K_MAX = 4096
+
+
+class WorkerFailed(RuntimeError):
+    """A worker process of a pooled sweep died."""
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -90,8 +93,9 @@ def quadrature_nodes(interval: IntervalSpec, quad: QuadratureSpec) -> list[Fract
 
 
 def default_delta(s, n_max: int) -> Fraction:
-    """Point tolerance: fine enough for the blur guard with headroom."""
-    return min(Fraction(1, 2**40), Fraction(s) / (200 * n_max))
+    """Point tolerance 2^-40, or finer for the blur guard at scale s."""
+    delta = Fraction(1, 2**40)
+    return delta if s is None else min(delta, Fraction(s) / (200 * n_max))
 
 
 def _node_stats(args) -> list[float]:
@@ -135,9 +139,16 @@ def _run_nodes(family: SequenceFamily, alphas: Sequence[ExactReal],
     workers = _pool_size(threads, len(jobs), _usable_cpus())
     if workers == 1:
         return _columns(_node_stats(job) for job in jobs)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_node_stats, job) for job in jobs]
-        return _columns(fut.result() for fut in futures)
+    # imported here: they load multiprocessing, which only a pooled sweep
+    # needs and every other command would pay for at startup
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    try:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_node_stats, job) for job in jobs]
+            return _columns(fut.result() for fut in futures)
+    except BrokenProcessPool as exc:
+        raise WorkerFailed(str(exc)) from exc
 
 
 def _alphas_for(interval: IntervalSpec, quad: QuadratureSpec) -> list[ExactReal]:

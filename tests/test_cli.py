@@ -2,9 +2,13 @@
 
 import json
 import operator
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ppclab
 from ppclab import hpreal
 from ppclab.cli import main
 from ppclab.paircorr import read_points
@@ -448,6 +452,10 @@ def test_stdout_matches_file_output(tmp_path, capsys):
      "--alpha", "9"],
     ["discrepancy", "--family", "linpow", "--alpha", "1.5", "--N", "10",
      "--format", "json"],
+    # a single N and a list together
+    ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--s", "1", "--N", "7", "--N-list", "20,40", "--K", "2",
+     "--threads", "1"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -496,7 +504,7 @@ def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
     def never(*args, **kwargs):
         raise AssertionError("work started before the bounds check")
 
-    monkeypatch.setattr(sm, "ProcessPoolExecutor", never)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", never)
     monkeypatch.setattr(sm, "quadrature_nodes", never)
     monkeypatch.setattr(hyp, "check_condition1", never)
     monkeypatch.setattr(ms, "_iterations", never)
@@ -553,7 +561,7 @@ def test_broken_worker_pool_is_one_json_line(monkeypatch, capsys):
         def result(self):
             raise BrokenProcessPool("a worker process died")
 
-    monkeypatch.setattr(sm, "ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", BrokenPool)
     monkeypatch.setattr(sm, "_usable_cpus", lambda: 2)
     code, out, err = run(capsys, *_SECOND_MOMENT, "--threads", "2")
     assert code == 2 and out == ""
@@ -576,9 +584,9 @@ def test_malformed_points_file_is_usage_error(tmp_path, capsys):
     code, _, err = run(capsys, "paircorr", "--in", str(path), "--s", "1")
     assert code == 1
     usage_error(err)
-    # a zero denominator, and an exponent whose exact value would take
-    # gigabytes: both are rejected as text, for both readers of --in
-    for line in ("1/0", "1e999999999"):
+    # a zero denominator, and exponents whose exact value would take
+    # gigabytes: all are rejected as text, for both readers of --in
+    for line in ("1/0", "1e999999999", "1e-999999999"):
         path.write_text("# ppc-points v1 N=2\n0.5\n%s\n" % line)
         for argv in (["paircorr", "--in", str(path), "--s", "1"],
                      ["discrepancy", "--in", str(path)]):
@@ -613,3 +621,19 @@ def test_version(capsys):
     assert out.strip().endswith("(multiply: %s)" % hpreal.MUL_BACKEND)
     assert ((hpreal._mul is operator.mul)
             == (hpreal.MUL_BACKEND == "python int"))
+
+
+def test_importing_cli_loads_no_worker_pool_module():
+    # only a pooled second-moment sweep starts worker processes, so the
+    # command line loads every library module but not multiprocessing
+    probe = ("import json, sys, ppclab.cli; print(json.dumps(sorted("
+             "m for m in sys.modules if m.split('.')[0] in "
+             "('ppclab', 'multiprocessing', 'concurrent'))))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(ppclab.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [
+        "ppclab", "ppclab.cli", "ppclab.families", "ppclab.hpreal",
+        "ppclab.hypothesis", "ppclab.measure", "ppclab.paircorr",
+        "ppclab.secondmoment"]

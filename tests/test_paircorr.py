@@ -242,7 +242,8 @@ def test_read_points_rejects_bad_input(tmp_path):
     with pytest.raises(ValueError):
         read_points(empty)
 
-    for i, line in enumerate(("1/0", "1e999999999", "NaN", "-Infinity")):
+    for i, line in enumerate(("1/0", "1e999999999", "NaN", "-Infinity",
+                              "1e-999999999")):
         bad_line = tmp_path / ("e%d.txt" % i)
         bad_line.write_text("# ppc-points v1 N=1\n%s\n" % line,
                             encoding="ascii")
