@@ -11,23 +11,27 @@ before any computation), 2 numeric or precision failure.  Every input rule
 (alpha > 1 on its 128-bit grid, delta, s and the blur bound, 1 < a < b, tol,
 the hypothesis scan bounds) lives in the library function or constructor that
 owns the value; this module only turns flag text into values and adds the
-rules of the command line itself (N >= 2, flag combinations).  `main` maps
-errors in one place: PrecisionOverflow and IndeterminateFrac exit 2 as
-"precision"; TooBlurry, LevelCapExceeded and NonMonotone exit 2 as "numeric";
-a broken second-moment worker pool exits 2 as "worker"; any other ValueError,
-wherever it is raised, is a usage error and exits 1, so library messages
-never print an unbounded int in full.  An --out file that cannot be written
-is the one usage error reported after the computation.
+rules of the command line itself: N >= 2 and the flag combinations, stated in
+the parser where argparse can state them.  `main` maps errors in one place:
+PrecisionOverflow and IndeterminateFrac exit 2 as "precision"; TooBlurry,
+LevelCapExceeded and NonMonotone exit 2 as "numeric"; a broken second-moment
+worker pool exits 2 as "worker"; any other ValueError, wherever it is raised,
+is a usage error and exits 1, so library messages never print an unbounded
+int in full.  An --out file that cannot be written is the one usage error
+reported after the computation.
 
 Caps, each checked before any work: the decimal exponent of a number in a
-flag or an --in point line (hpreal.LITERAL_EXP_CAP, 4300), orbit points
-(families.ORBIT_N_CAP, 100000), --n-max, --grid-size and --n2-max of
-hypothesis (20, 256, 5000) and its sampled geomsum degree n_max^k + 1
-(1025), a degree n^k (families.DEGREE_CAP_BITS, 2048 bits), --tol of
-measure ([1e-30, 1e-6]) and --K of second-moment (4096).  Every emitted
-artifact embeds the run configuration so it can be replayed byte for byte;
-the output path and thread count are deliberately left out of that block so
-replays to a different location, or with different parallelism, compare equal.
+flag or an --in point line (hpreal.LITERAL_EXP_CAP, 4300), orbit points and
+the N in an --in file's header (families.ORBIT_N_CAP, 100000), --n-max,
+--grid-size and --n2-max of hypothesis (20, 256, 5000) and its sampled
+geomsum degree n_max^k + 1 (1025), a degree n^k (families.DEGREE_CAP_BITS,
+2048 bits), --tol of measure ([1e-30, 1e-6]) and --K of second-moment (4096).
+
+Every emitted artifact embeds a replay block built from the parsed command
+line: the subcommand, then every flag that is set, in the order --help lists
+them, with the default --delta written out.  --out and --threads are left out,
+so replays to a different location, or with different parallelism, compare
+equal.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ppclab import __version__
@@ -79,6 +82,8 @@ from ppclab.secondmoment import (
 )
 
 _SELFTEST_N = (125, 250, 500, 1000)
+# namespace entries that never change an artifact's bytes
+_NOT_REPLAYED = ("cmd", "out", "threads", "selftest")
 
 
 class _UsageError(ValueError):
@@ -97,35 +102,6 @@ class _Formatter(argparse.HelpFormatter):
         super().__init__(prog, width=78)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flag values for one run; `block()` is the replay record."""
-
-    subcommand: str
-    family: str | None = None
-    alpha: str | None = None
-    a: str | None = None
-    b: str | None = None
-    N: int | None = None
-    N_list: tuple[int, ...] | None = None
-    s: str | None = None
-    delta: str | None = None
-    seed: int | None = None
-    K: int | None = None
-    format: str | None = None
-    extras: tuple[tuple[str, object], ...] = ()
-
-    def block(self) -> dict:
-        # the set fields in declaration order, then the extras: the order
-        # is part of every artifact's bytes
-        doc = {key: value for key, value in vars(self).items()
-               if value is not None and key != "extras"}
-        if self.N_list is not None:
-            doc["N_list"] = ",".join(str(n) for n in self.N_list)
-        doc.update(self.extras)
-        return doc
-
-
 def _frac(text: str, flag: str) -> Fraction:
     try:
         return check_literal(text)
@@ -137,28 +113,37 @@ def _interval(ns) -> IntervalSpec:
     return IntervalSpec(_frac(ns.a, "--a"), _frac(ns.b, "--b"))
 
 
-def _check_n(n: int) -> int:
+def _n(text: str) -> int:
+    # an argparse type: ArgumentTypeError keeps its message, where a
+    # ValueError would be replaced by "invalid _n value"
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected an integer, got %r" % text) from None
     if n < 2:
-        raise _UsageError("--N must be >= 2, got %d" % n)
+        raise argparse.ArgumentTypeError("N must be >= 2, got %r" % text)
     return n
 
 
 def _n_list(text: str) -> tuple[int, ...]:
-    # an argparse type: ArgumentTypeError keeps its message, where a
-    # ValueError would be replaced by "invalid _n_list value"
-    try:
-        values = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            "expected comma-separated integers, got %r" % text) from None
-    if min(values) < 2:
-        raise argparse.ArgumentTypeError("every N must be >= 2, got %s" % text)
-    return values
+    return tuple(_n(part) for part in text.split(","))
 
 
-def _json_payload(doc: dict, cfg: RunConfig) -> str:
-    """A JSON artifact: the result document, then its replay config."""
-    return json.dumps(dict(doc, config=cfg.block()), indent=2) + "\n"
+def _config(ns) -> dict:
+    """The replay block: the subcommand, then every set flag in parser order
+    (the order is part of every artifact's bytes)."""
+    block = {"subcommand": ns.cmd}
+    for key, value in vars(ns).items():
+        if key in _NOT_REPLAYED or value is None or value is False:
+            continue
+        block[key] = ",".join(map(str, value)) if key == "N_list" else value
+    return block
+
+
+def _json_payload(doc: dict, ns) -> str:
+    """A JSON artifact: the result document, then its replay block."""
+    return json.dumps(dict(doc, config=_config(ns)), indent=2) + "\n"
 
 
 def _statistic_csv(rows) -> str:
@@ -166,13 +151,13 @@ def _statistic_csv(rows) -> str:
     return "".join(["N,statistic\n"] + ["%d,%r\n" % row for row in rows])
 
 
-def _delta(ns, s: Fraction | None, n_max: int) -> tuple[str, Fraction]:
-    """--delta as text and value; by default default_delta(s, n_max): 2^-40,
-    or finer for a pair statistic at scale s."""
-    text = ns.delta
-    if text is None:
-        text = str(default_delta(s, n_max))
-    return text, _frac(text, "--delta")
+def _delta(ns, s: Fraction | None, n_max: int) -> Fraction:
+    """--delta's value; by default default_delta(s, n_max), 2^-40 or finer
+    for a pair statistic at scale s, whose text goes into ns.delta so that
+    the replay block records it."""
+    if ns.delta is None:
+        ns.delta = str(default_delta(s, n_max))
+    return _frac(ns.delta, "--delta")
 
 
 def _family_alpha(ns):
@@ -181,135 +166,112 @@ def _family_alpha(ns):
     return parse_family(ns.family), parse_alpha(ns.alpha, ALPHA_BITS)
 
 
-def _points(ns, s: Fraction | None = None) -> tuple:
-    """The points a command runs on, and the RunConfig fields that name them.
+def _points(ns, s: Fraction | None = None) -> list:
+    """The points a command runs on.
 
     They are read from --in, which replaces the family flags, or walked as
     the orbit --family/--alpha/--N/--delta describe; with a scale s, delta
     must also pass the blur bound at N.
     """
-    infile = getattr(ns, "infile", None)  # orbit takes no --in
-    if infile is not None:
+    path = getattr(ns, "in", None)  # orbit takes no --in
+    if path is not None:
         if any(getattr(ns, key, None) is not None
                for key in ("family", "alpha", "N", "N_list", "delta")):
             raise _UsageError("--in replaces the family flags; drop "
                               "--family/--alpha/--N/--N-list/--delta")
         try:
-            return read_points(infile), {"extras": (("in", infile),)}
+            return read_points(path)
         except OSError as exc:
             raise _UsageError("--in: %s" % exc) from None
     family, alpha = _family_alpha(ns)
     if ns.N is None:
         raise _UsageError("need --N (or --in FILE)")
-    n = _check_n(ns.N)
-    delta_text, delta = _delta(ns, s, n)
+    delta = _delta(ns, s, ns.N)
     if s is not None:
-        check_resolution(s, delta, n)
-    points = orbit(family, alpha, n, delta).points
-    return points, {"family": ns.family, "alpha": ns.alpha, "N": n,
-                    "delta": delta_text}
+        check_resolution(s, delta, ns.N)
+    return orbit(family, alpha, ns.N, delta).points
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def _cmd_orbit(ns) -> str:
-    points, fields = _points(ns)
-    cfg = RunConfig("orbit", **fields)
-    return points_text(points, ["config " + json.dumps(cfg.block())])
+    points = _points(ns)  # first: it fills in the default --delta
+    return points_text(points, ["config " + json.dumps(_config(ns))])
 
 
 def _cmd_paircorr(ns) -> str:
     s = _frac(ns.s, "--s")
-    if ns.infile is None and ns.N_list is not None:
+    if getattr(ns, "in") is None and ns.N_list is not None:
         return _paircorr_curve(ns, s)
-    points, fields = _points(ns, s)
-    res = pair_count(points, s)
+    res = pair_count(_points(ns, s), s)
     if ns.format == "csv":
         return _statistic_csv([(res.N, res.statistic)])
-    cfg = RunConfig("paircorr", s=ns.s, format=ns.format, **fields)
     return _json_payload({
         "schema": "paircorr-result v1",
         "N": res.N,
         "s": float(res.s),
         "ordered_count": res.ordered_count,
         "statistic": res.statistic,
-    }, cfg)
+    }, ns)
 
 
 def _paircorr_curve(ns, s: Fraction) -> str:
     if ns.N is not None:
         raise _UsageError("need exactly one of --N or --N-list")
     family, alpha = _family_alpha(ns)
-    delta_text, delta = _delta(ns, s, max(ns.N_list))
+    delta = _delta(ns, s, max(ns.N_list))
     curve = ppc_curve(family, alpha, s, list(ns.N_list), delta)
     if ns.format == "csv":
         return _statistic_csv(curve)
-    cfg = RunConfig("paircorr", family=ns.family, alpha=ns.alpha,
-                    N_list=ns.N_list, s=ns.s, delta=delta_text,
-                    format=ns.format)
     return _json_payload({
         "schema": "paircorr-curve v1",
         "s": float(s),
         "entries": [{"N": n, "statistic": stat} for n, stat in curve],
-    }, cfg)
+    }, ns)
 
 
 def _cmd_discrepancy(ns) -> str:
-    points, fields = _points(ns)
-    res = star_discrepancy(points)
+    res = star_discrepancy(_points(ns))
     return _json_payload({
         "schema": "discrepancy-result v1",
         "N": res.N,
         "d_star": res.d_star,
-    }, RunConfig("discrepancy", **fields))
+    }, ns)
 
 
 def _cmd_hypothesis(ns) -> str:
-    family = parse_family(ns.family)
-    interval = _interval(ns)
-    cfg = RunConfig("hypothesis", family=ns.family, a=ns.a, b=ns.b,
-                    extras=(("n_max", ns.n_max), ("grid_size", ns.grid_size),
-                            ("n1_max", ns.n1_max), ("n2_max", ns.n2_max)))
-    report = check_hypotheses(family, interval, n_max=ns.n_max,
-                              grid_size=ns.grid_size,
+    report = check_hypotheses(parse_family(ns.family), _interval(ns),
+                              n_max=ns.n_max, grid_size=ns.grid_size,
                               n1_search_max=ns.n1_max,
                               n2_verify_max=ns.n2_max)
-    return _json_payload(report_to_json(report), cfg)
+    return _json_payload(report_to_json(report), ns)
 
 
 def _cmd_measure(ns) -> str:
     interval = _interval(ns)
-    if (ns.degree is None) == (ns.family is None):
-        raise _UsageError("need exactly one of --degree or "
-                          "--family with --n1/--n2")
-    extras: list[tuple[str, object]] = []
     if ns.degree is not None:
         if ns.n1 is not None or ns.n2 is not None:
             raise _UsageError("--n1/--n2 only apply with --family")
         g = PowerMap(ns.degree)
-        extras.append(("degree", ns.degree))
     else:
         if ns.n1 is None or ns.n2 is None:
             raise _UsageError("difference maps need --n1 and --n2")
         g = DifferenceMap(parse_family(ns.family), ns.n1, ns.n2)
-        extras.extend((("n1", ns.n1), ("n2", ns.n2)))
     c = _frac(ns.target_c, "--target-c")
     d = _frac(ns.target_d, "--target-d")
     target = CircleInterval.wrap(c, d) if ns.wrap else CircleInterval.arc(c, d)
-    tol = _frac(ns.tol, "--tol")
-    extras.extend((("target_c", ns.target_c), ("target_d", ns.target_d)))
-    if ns.wrap:
-        extras.append(("wrap", True))
-    extras.append(("tol", ns.tol))
-    cfg = RunConfig("measure", family=ns.family, a=ns.a, b=ns.b,
-                    extras=tuple(extras))
-    result = level_set_measure(g, interval, target, tol)
-    return _json_payload(measure_to_json(result, target), cfg)
+    result = level_set_measure(g, interval, target, _frac(ns.tol, "--tol"))
+    return _json_payload(measure_to_json(result, target), ns)
 
 
 def _cmd_second_moment(ns) -> str:
     if ns.selftest:
+        plain = vars(build_parser().parse_args(["second-moment"]))
+        if any(value != plain[key] for key, value in vars(ns).items()
+               if key not in _NOT_REPLAYED and key != "N_list"):
+            raise _UsageError("--selftest takes only --N-list, --out and "
+                              "--threads")
         n_list = ns.N_list if ns.N_list is not None else _SELFTEST_N
         slope, _ = decay_fit([(n, 1.0 / n) for n in n_list])
         return "exponent %.3f\n" % slope
@@ -320,18 +282,14 @@ def _cmd_second_moment(ns) -> str:
     family = parse_family(ns.family)
     interval = _interval(ns)
     s = _frac(ns.s, "--s")
-    n_list = ns.N_list if ns.N_list is not None else (_check_n(ns.N),)
-    delta_text, delta = _delta(ns, s, max(n_list))
+    n_list = ns.N_list if ns.N_list is not None else (ns.N,)
+    delta = _delta(ns, s, max(n_list))
     quad = QuadratureSpec(ns.mode, ns.K, ns.seed)
-    cfg = RunConfig("second-moment", family=ns.family, a=ns.a, b=ns.b,
-                    N=ns.N, N_list=ns.N_list, s=ns.s, delta=delta_text,
-                    seed=ns.seed, K=ns.K, format=ns.format,
-                    extras=(("mode", ns.mode),))
     series = second_moment_series(family, interval, s, list(n_list), quad,
                                   delta=delta, threads=ns.threads)
     if ns.format == "csv":
         return series_to_csv(series)
-    return _json_payload(series_to_json(series), cfg)
+    return _json_payload(series_to_json(series), ns)
 
 
 # -------------------------------------------------------------------- parser
@@ -343,21 +301,28 @@ def _add_family(sub, required: bool):
                           "geomsum:k=3, factorial, linpow, kronecker")
 
 
-def _add_orbit_flags(sub, from_file: bool, delta_default: str):
-    """--family/--alpha/--N/--delta, required unless --in may replace them."""
-    _add_family(sub, required=not from_file)
-    sub.add_argument("--alpha", required=not from_file,
+def _add_orbit_flags(sub, required: bool):
+    """--family/--alpha/--N; optional where --in may replace them."""
+    _add_family(sub, required)
+    sub.add_argument("--alpha", required=required,
                      help="alpha as decimal or fraction text; parsed to "
                           "128 fractional bits")
-    if from_file:
-        sub.add_argument("--in", dest="infile", help="ppc-points v1 file")
-    sub.add_argument("--N", type=int, required=not from_file,
-                     help="orbit length")
+    sub.add_argument("--N", type=_n, required=required, help="orbit length")
+
+
+def _add_delta(sub, default: str):
     sub.add_argument("--delta", help="per-point error budget (default %s)"
-                                     % delta_default)
+                                     % default)
+
+
+def _add_interval(sub, required: bool):
+    sub.add_argument("--a", required=required,
+                     help="interval left endpoint (> 1)")
+    sub.add_argument("--b", required=required, help="interval right endpoint")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; its add_argument order is the replay block's key order."""
     parser = _Parser(prog="ppclab", formatter_class=_Formatter,
                      description="pair-correlation laboratory for "
                                  "fast-growing polynomial sequences")
@@ -373,31 +338,36 @@ def build_parser() -> argparse.ArgumentParser:
                         default=max(1, os.cpu_count() or 1),
                         help="worker processes (default: available "
                              "parallelism); never changes the output bytes")
+    pair_delta = "min(2^-40, s/(200 N))"
 
     p = subs.add_parser("orbit", parents=[shared], formatter_class=_Formatter,
                         help="write the first N certified orbit points")
-    _add_orbit_flags(p, False, "2^-40")
+    _add_orbit_flags(p, required=True)
+    _add_delta(p, "2^-40")
 
     p = subs.add_parser("paircorr", parents=[shared],
                         formatter_class=_Formatter,
                         help="pair-correlation statistic of an orbit or file")
-    _add_orbit_flags(p, True, "min(2^-40, s/(200 N))")
+    _add_orbit_flags(p, required=False)
     p.add_argument("--N-list", type=_n_list, dest="N_list",
                    help="comma-separated prefix lengths for a curve")
     p.add_argument("--s", required=True, help="pair-correlation scale")
+    _add_delta(p, pair_delta)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--in", help="ppc-points v1 file")
 
     p = subs.add_parser("discrepancy", parents=[shared],
                         formatter_class=_Formatter,
                         help="star discrepancy of an orbit or file")
-    _add_orbit_flags(p, True, "2^-40")
+    _add_orbit_flags(p, required=False)
+    _add_delta(p, "2^-40")
+    p.add_argument("--in", help="ppc-points v1 file")
 
     p = subs.add_parser("hypothesis", parents=[shared],
                         formatter_class=_Formatter,
                         help="check the five growth/convexity conditions")
     _add_family(p, required=True)
-    p.add_argument("--a", required=True, help="interval left endpoint (> 1)")
-    p.add_argument("--b", required=True, help="interval right endpoint")
+    _add_interval(p, required=True)
     p.add_argument("--n-max", type=int, default=8, dest="n_max",
                    help="indices checked for degree growth (default 8, "
                         "max 20)")
@@ -411,11 +381,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("measure", parents=[shared],
                         formatter_class=_Formatter,
                         help="level-set measure of frac(g) in a target arc")
-    p.add_argument("--a", required=True, help="interval left endpoint (> 1)")
-    p.add_argument("--b", required=True, help="interval right endpoint")
-    p.add_argument("--degree", type=int,
-                   help="use g(alpha) = alpha^degree")
-    _add_family(p, required=False)
+    g_source = p.add_mutually_exclusive_group(required=True)
+    _add_family(g_source, required=False)
+    _add_interval(p, required=True)
+    g_source.add_argument("--degree", type=int,
+                          help="use g(alpha) = alpha^degree (exactly one "
+                               "of --degree and --family)")
     p.add_argument("--n1", type=int, help="difference map lower index")
     p.add_argument("--n2", type=int, help="difference map upper index")
     p.add_argument("--target-c", required=True, dest="target_c",
@@ -432,21 +403,19 @@ def build_parser() -> argparse.ArgumentParser:
                         formatter_class=_Formatter,
                         help="variance of the statistic over alpha nodes")
     _add_family(p, required=False)
-    p.add_argument("--a", help="interval left endpoint (> 1)")
-    p.add_argument("--b", help="interval right endpoint")
-    p.add_argument("--s", help="pair-correlation scale")
-    p.add_argument("--N", type=int, help="single N")
+    _add_interval(p, required=False)
+    p.add_argument("--N", type=_n, help="single N")
     p.add_argument("--N-list", type=_n_list, dest="N_list",
                    help="comma-separated N values")
-    p.add_argument("--K", type=int, default=16, help="quadrature nodes "
-                                                     "(default 16)")
-    p.add_argument("--mode", choices=("midpoint", "random"),
-                   default="midpoint", help="node placement")
+    p.add_argument("--s", help="pair-correlation scale")
+    _add_delta(p, pair_delta)
     p.add_argument("--seed", type=int, default=0,
                    help="SplitMix64 seed for random nodes (default 0)")
-    p.add_argument("--delta", help="per-point error budget "
-                                   "(default min(2^-40, s/(200 N)))")
+    p.add_argument("--K", type=int, default=16, help="quadrature nodes "
+                                                     "(default 16)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--mode", choices=("midpoint", "random"),
+                   default="midpoint", help="node placement")
     p.add_argument("--selftest", action="store_true",
                    help="fit the synthetic series V = 1/N and print "
                         "the exponent")

@@ -22,10 +22,9 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Sequence
 
-from ppclab.families import SequenceFamily, orbit
+from ppclab.families import SequenceFamily, check_orbit_length, orbit
 from ppclab.hpreal import ExactReal, UnitPoint, check_delta, check_literal
 
 
@@ -226,27 +225,34 @@ def points_text(points: Sequence[UnitPoint], comments: Iterable[str] = ()) -> st
 
 
 def read_points(path) -> list[UnitPoint]:
-    """Parse a ppc-points v1 file; values are exact decimals with error 0."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
-    if not lines:
-        raise ValueError("empty point file")
-    m = _HEADER_RE.match(lines[0])
-    if not m:
-        raise ValueError("missing 'ppc-points v1' header: %r" % lines[0][:60])
-    n_declared = int(m.group(1))
-    points: list[UnitPoint] = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        if line.startswith("#"):
-            continue
-        text = line.strip()
-        if "/" in text:
-            raise ValueError("not a decimal: %r" % text[:60])
-        value = check_literal(text)
-        if not 0 <= value < 1:
-            raise ValueError("point outside [0,1): %r" % text[:60])
-        points.append(UnitPoint(value, 0.0))
+    """Parse a ppc-points v1 file; values are exact decimals with error 0.
+
+    The header's N must pass the orbit cap before any point line is read,
+    and the file is refused at the first point line past that N.
+    """
+    with open(path, encoding="ascii") as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError("empty point file")
+        header = first.rstrip("\n")
+        m = _HEADER_RE.match(header)
+        if not m:
+            raise ValueError("missing 'ppc-points v1' header: %r" % header[:60])
+        n_declared = check_orbit_length(int(m.group(1)))
+        points: list[UnitPoint] = []
+        for line in fh:
+            if not line.strip() or line.startswith("#"):
+                continue
+            if len(points) == n_declared:
+                raise ValueError("header declares N=%d but file holds more "
+                                 "points" % n_declared)
+            text = line.strip()
+            if "/" in text:
+                raise ValueError("not a decimal: %r" % text[:60])
+            value = check_literal(text)
+            if not 0 <= value < 1:
+                raise ValueError("point outside [0,1): %r" % text[:60])
+            points.append(UnitPoint(value, 0.0))
     if len(points) != n_declared:
         raise ValueError(
             "header declares N=%d but file holds %d points" % (n_declared, len(points))

@@ -340,6 +340,44 @@ def test_replay_from_embedded_config(tmp_path, capsys, argv):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, items", [
+    (["paircorr", "--in", "pts.txt", "--s", "0.3"],
+     [("subcommand", "paircorr"), ("s", "0.3"), ("format", "json"),
+      ("in", "pts.txt")]),
+    (["discrepancy", "--in", "pts.txt"],
+     [("subcommand", "discrepancy"), ("in", "pts.txt")]),
+    (["measure", "--a", "1.1", "--b", "1.2", "--degree", "2",
+      "--target-c", "0.9", "--target-d", "0.1", "--wrap"],
+     [("subcommand", "measure"), ("a", "1.1"), ("b", "1.2"), ("degree", 2),
+      ("target_c", "0.9"), ("target_d", "0.1"), ("wrap", True),
+      ("tol", "1e-9")]),
+    (["measure", "--target-c", "0", "--target-d", "0.25", "--n2", "2",
+      "--n1", "1", "--family", "monomial:k=2", "--b", "1.2", "--a", "1.1"],
+     [("subcommand", "measure"), ("family", "monomial:k=2"), ("a", "1.1"),
+      ("b", "1.2"), ("n1", 1), ("n2", 2), ("target_c", "0"),
+      ("target_d", "0.25"), ("tol", "1e-9")]),
+    (["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+      "--s", "1", "--N", "20", "--K", "2", "--threads", "1"],
+     [("subcommand", "second-moment"), ("family", "linpow"), ("a", "1.5"),
+      ("b", "1.6"), ("N", 20), ("s", "1"), ("delta", "1/1099511627776"),
+      ("seed", 0), ("K", 2), ("format", "json"), ("mode", "midpoint")]),
+    (["paircorr", "--s", "1", "--N-list", "20, 40", "--alpha", "1.5",
+      "--family", "monomial:k=2"],
+     [("subcommand", "paircorr"), ("family", "monomial:k=2"),
+      ("alpha", "1.5"), ("N_list", "20,40"), ("s", "1"),
+      ("delta", "1/1099511627776"), ("format", "json")]),
+])
+def test_replay_block_keys_and_order(tmp_path, monkeypatch, capsys, argv,
+                                     items):
+    # paths that the golden artifacts do not cover; the key order is part
+    # of every artifact's bytes, whatever order the flags were given in
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pts.txt").write_text("# ppc-points v1 N=3\n0.1\n0.15\n0.9\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert list(json.loads(out)["config"].items()) == items
+
+
 def test_threads_do_not_change_bytes(tmp_path, capsys):
     base = ["second-moment", "--family", "monomial:k=2", "--a", "1.5",
             "--b", "1.6", "--s", "1", "--N-list", "20,40", "--K", "2"]
@@ -456,6 +494,10 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
      "--s", "1", "--N", "7", "--N-list", "20,40", "--K", "2",
      "--threads", "1"],
+    # --selftest fits a synthetic series and takes no other flag
+    ["second-moment", "--selftest", "--N", "7", "--family", "linpow",
+     "--K", "3"],
+    ["second-moment", "--selftest", "--K", "99", "--seed", "5"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ppclab import paircorr
 from ppclab.families import parse_family, orbit
 from ppclab.hpreal import UnitPoint, parse_alpha
 from ppclab.paircorr import (
@@ -221,7 +222,7 @@ def test_points_text_layout():
     assert text.endswith("\n")
 
 
-def test_read_points_rejects_bad_input(tmp_path):
+def test_read_points_rejects_bad_input(tmp_path, monkeypatch):
     bad_header = tmp_path / "a.txt"
     bad_header.write_text("# wrong v9 N=2\n0.1\n0.2\n", encoding="ascii")
     with pytest.raises(ValueError):
@@ -249,3 +250,25 @@ def test_read_points_rejects_bad_input(tmp_path):
                             encoding="ascii")
         with pytest.raises(ValueError):
             read_points(bad_line)
+
+    # a header past ORBIT_N_CAP is refused before any point line is parsed
+    def never(text):
+        raise AssertionError("point line parsed: %r" % text)
+
+    too_long = tmp_path / "g.txt"
+    too_long.write_text("# ppc-points v1 N=100001\n0.1\n0.2\n",
+                        encoding="ascii")
+    monkeypatch.setattr(paircorr, "check_literal", never)
+    with pytest.raises(ValueError, match="100001"):
+        read_points(too_long)
+
+    # and a file is refused at the first point line past the declared N
+    parsed = []
+    monkeypatch.setattr(paircorr, "check_literal",
+                        lambda text: parsed.append(text) or Fraction(text))
+    extra = tmp_path / "h.txt"
+    extra.write_text("# ppc-points v1 N=1\n0.1\n0.2\n0.3\n",
+                     encoding="ascii")
+    with pytest.raises(ValueError):
+        read_points(extra)
+    assert parsed == ["0.1"]
