@@ -170,6 +170,17 @@ def diff_value(family: SequenceFamily, x, n1: int, n2: int):
     return x**d2 - x**d1
 
 
+def diff_form(family: SequenceFamily, X: int, D: int,
+              n1: int, n2: int) -> tuple[int, int]:
+    """(f_{n2} - f_{n1})(X/D) as integers (num, den), den > 0 and not
+    reduced, for integers X > D > 0: Fraction(num, den) is diff_value at X/D."""
+    d1, d2 = _check_pair(family, n1, n2)
+    if family.kind == "geomsum":
+        return (X ** (d2 + 1) - X ** (d1 + 1) * D ** (d2 - d1),
+                D**d2 * (X - D))
+    return X**d2 - X**d1 * D ** (d2 - d1), D**d2
+
+
 def diff_derivative(family: SequenceFamily, x, n1: int, n2: int):
     """(f_{n2} - f_{n1})'(x).  Exact when x is a Fraction."""
     d1, d2 = _check_pair(family, n1, n2)

@@ -2,11 +2,13 @@
 
 The measure is assembled per integer level M: the target interval shifted by
 M is intersected with [g(a), g(b)] and pulled back through g by bisection.
-All function values and comparisons are exact rationals, so the only error is
-the final bisection bracket width, which is budgeted as tol/(levels+1) per
-endpoint.  A map g gives value(x) (exact), derivative(x) (float) and lead(x),
-the pair (d, g(x)/x^d) from which the level cap is checked in floats before
-any exact value.
+All function values and comparisons are exact: the bisection runs on integers
+over one common denominator, and g(a), g(b) are Fractions, so the only error
+is the final bisection bracket width, which is budgeted as tol/(levels+1) per
+endpoint.  A map g gives form(X, D), the integers (num, den) with
+g(X/D) = num/den, value(x) (the exact Fraction built from form),
+derivative(x) (float) and lead(x), the pair (d, g(x)/x^d) from which the
+level cap is checked in floats before any exact value.
 
 Degrees are capped through the level count (about g(b) levels), so the exact
 route is a desk-scale instrument; large-degree behavior is reached through
@@ -24,16 +26,16 @@ from ppclab.families import (
     _check_pair,
     degree,
     diff_derivative,
+    diff_form,
     diff_over_lead,
-    diff_value,
 )
 from ppclab.hypothesis import IntervalSpec
 
 _LEVEL_CAP = 10**6
 _MAX_TOL = Fraction(1, 10**6)
-# Finest tol: each halving adds one bisection step on exact rationals.  The
-# linpow n1=3 n2=12 measure on [1.5, 1.6] took 0.29 s at the default 1e-9,
-# 0.49 s at 1e-30 and 3.1 s at 1e-100 (2-CPU host).  Results are
+# Finest tol: each halving adds one exact bisection step.  The linpow n1=3
+# n2=12 measure on [1.5, 1.6] took 0.055 s at the default 1e-9, 0.14 s at
+# 1e-30 and 2.0 s at 1e-100 (2-CPU host, Python 3.11).  Results are
 # floats of about 17 digits, so a finer tol adds nothing; below about 1e-308
 # the iteration count's float log2 would overflow.
 _MIN_TOL = Fraction(1, 10**30)
@@ -120,8 +122,13 @@ class PowerMap:
         if self.d < 1:
             raise ValueError("exponent must be >= 1")
 
+    def form(self, X: int, D: int) -> tuple[int, int]:
+        """g(X/D) as integers (num, den), den > 0 and not reduced."""
+        return X**self.d, D**self.d
+
     def value(self, x: Fraction) -> Fraction:
-        return Fraction(x) ** self.d
+        x = Fraction(x)
+        return Fraction(*self.form(x.numerator, x.denominator))
 
     def derivative(self, x: float) -> float:
         return self.d * x ** (self.d - 1)
@@ -142,8 +149,13 @@ class DifferenceMap:
     def __post_init__(self):
         _check_pair(self.family, self.n1, self.n2)
 
+    def form(self, X: int, D: int) -> tuple[int, int]:
+        """g(X/D) as integers (num, den), den > 0 and not reduced."""
+        return diff_form(self.family, X, D, self.n1, self.n2)
+
     def value(self, x: Fraction) -> Fraction:
-        return diff_value(self.family, Fraction(x), self.n1, self.n2)
+        x = Fraction(x)
+        return Fraction(*self.form(x.numerator, x.denominator))
 
     def derivative(self, x: float) -> float:
         return diff_derivative(self.family, x, self.n1, self.n2)
@@ -213,14 +225,24 @@ def _checked_range(g, interval: IntervalSpec) -> tuple[Fraction, Fraction]:
 
 
 def _invert(g, lo: Fraction, hi: Fraction, y: Fraction, iters: int) -> Fraction:
-    """Point x in [lo, hi] with |x - g^/-1(y)| <= (hi-lo) * 2^-(iters+1)."""
+    """Point x in [lo, hi] with |x - g^/-1(y)| <= (hi-lo) * 2^-(iters+1).
+
+    Every midpoint of the bisection is X/D over one common denominator
+    D = lcm(den lo, den hi) * 2^iters, so the steps run on integers: the
+    bracket is [X, X + h] in units of 1/D, and g(X/D) = num/den < y is
+    compared exactly as y.den * num < y.num * den.
+    """
+    D = math.lcm(lo.denominator, hi.denominator)
+    X = (lo.numerator * (D // lo.denominator)) << iters
+    h = ((hi.numerator * (D // hi.denominator)) << iters) - X
+    D <<= iters
+    y_num, y_den = y.numerator, y.denominator
     for _ in range(iters):
-        mid = (lo + hi) / 2
-        if g.value(mid) < y:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+        h >>= 1
+        num, den = g.form(X + h, D)
+        if y_den * num < y_num * den:
+            X += h
+    return Fraction(2 * X + h, 2 * D)
 
 
 def _iterations(interval: IntervalSpec, levels: int, tol: Fraction) -> int:

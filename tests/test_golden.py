@@ -1,12 +1,13 @@
-"""Golden bytes: the sha256 of fourteen reference artifacts, frozen.
+"""Golden bytes: the sha256 of fifteen reference artifacts, frozen.
 
 A change that keeps these digests keeps every byte the CLI writes for them:
 orbit points, statistics, reports and the embedded replay config.  The first
 eight commands are criterion 9's battery; the rest add the geomsum and
 factorial walks, both pair-correlation schemas, a linpow second-moment series
-and a difference-map level-set measure.  A change that moves the arithmetic
-on purpose must show that every point agrees within the certified errors
-before it updates a digest here.
+and two difference-map level-set measures, the second on geomsum, whose
+integer form carries the (alpha - 1) denominator.  A change that moves the
+arithmetic on purpose must show that every point agrees within the certified
+errors before it updates a digest here.
 """
 
 import hashlib
@@ -88,6 +89,11 @@ ARTIFACTS = [
          "--a", "1.5", "--b", "1.6", "--target-c", "0", "--target-d", "0.25"],
         "cf06f2e86d6686f8b1e307a53d7912b1b15ec97a0dea511f40be4963adc280bd",
         id="measure-difference-map"),
+    pytest.param(
+        ["measure", "--family", "geomsum:k=2", "--n1", "2", "--n2", "3",
+         "--a", "1.5", "--b", "2", "--target-c", "0", "--target-d", "0.25"],
+        "e48e7f4948bbfb21c58522620203d6704f40af50d52c128b9bf25203ac087130",
+        id="measure-geomsum"),
 ]
 
 

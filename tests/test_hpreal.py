@@ -231,11 +231,71 @@ def test_frac_point_raises_when_radius_exceeds_delta():
         frac_point(wide, Fraction(1, 2**10))
 
 
+def _checked_frac_point(ball, delta):
+    """frac_point's value and error, computed from delta alone."""
+    delta = Fraction(delta)
+    keep = max(64, math.ceil(math.log2(1 / delta)) + 32)
+    frac = _mid(ball) % 1
+    value = Fraction(math.floor(frac * 2**keep), 2**keep)
+    truncated = -ball.exp > keep
+    rad = hpreal._r_float(hpreal._r_add(ball.rad, (1, -keep)) if truncated
+                          else ball.rad)
+    if Fraction(rad) > delta:
+        rad = float(delta)
+    return value, rad
+
+
+def test_frac_point_takes_each_call_its_own_tolerance():
+    # a walk at delta1 leaves frac_point's constants at delta1; later calls
+    # with another delta must use that delta's bound and keep bits
+    delta1, delta2 = Fraction(1, 2**10), Fraction(1, 2**100)
+    pow_frac(parse_alpha("1.5", 128), 40, delta1)
+    mid = Ball((8 << 200) - 1, -200)  # 7 + (1 - 2^-200)
+    wide = Ball(mid.man, mid.exp, (1, -50))  # radius between delta2 and delta1
+    for delta in (delta1, Fraction(1, 2**10), 2.0**-10, 1e-9):
+        got = frac_point(wide, delta)
+        assert (got.value, got.error) == _checked_frac_point(wide, delta)
+    for delta in (delta2, Fraction(1, 2**100), 2.0**-100):
+        with pytest.raises(IndeterminateFrac):
+            frac_point(wide, delta)
+        got = frac_point(mid, delta)
+        assert (got.value, got.error) == _checked_frac_point(mid, delta)
+        assert got.value.denominator == 2**132
+    # a radius right at delta: the float nudge is clamped to delta itself
+    for delta in (Fraction(1, 2**30), 2.0**-30):
+        assert frac_point(Ball(1, -40, (1, -30)), delta).error == 2.0**-30
+    assert frac_point(mid, delta1).value.denominator == 2**64
+
+
+def test_frac_point_error_is_the_radius_clamped_to_delta():
+    # radii one float ulp below delta, for deltas whose float lies above or
+    # below them: the outward nudge of the largest one passes delta, and the
+    # reported error is then float(delta); 53-bit radius mantissas reach
+    # that close, so these radii are wider than _r_norm would keep
+    clamped = 0
+    for k in range(3, 60):
+        for delta in (Fraction(1, 10**k), Fraction(2, 3 * 10**k)):
+            e = delta.numerator.bit_length() - delta.denominator.bit_length() - 53
+            top = (delta.numerator << -e) // delta.denominator
+            if top >= 2**53:
+                e, top = e + 1, top >> 1
+            for man in (top, top - 1):
+                ball = Ball(1, -2, (man, e))
+                assert _radius(ball.rad) <= delta
+                got = frac_point(ball, delta)
+                assert got.error == _checked_frac_point(ball, delta)[1]
+                clamped += got.error == float(delta)
+    assert clamped >= 100
+
+
 def test_unitpoint_validation():
-    with pytest.raises(ValueError):
-        UnitPoint(Fraction(3, 2), 0.0)
+    for bad in (Fraction(3, 2), Fraction(-1, 2), Fraction(1), 1.0, -0.5):
+        with pytest.raises(ValueError):
+            UnitPoint(bad, 0.0)
     with pytest.raises(ValueError):
         UnitPoint(Fraction(1, 2), -1e-9)
+    assert UnitPoint(Fraction(0), 0.0).value == 0
+    assert UnitPoint(0.5, 0.0).value == 0.5
 
 
 def test_circle_dist_wraps():

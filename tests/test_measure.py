@@ -1,10 +1,11 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from ppclab.families import parse_family
+from ppclab.families import diff_value, parse_family
 from ppclab.hypothesis import IntervalSpec
 from ppclab.measure import (
     CircleInterval,
@@ -12,6 +13,7 @@ from ppclab.measure import (
     LevelCapExceeded,
     NonMonotone,
     PowerMap,
+    _invert,
     lemma_bounds_check,
     level_set_measure,
     measure_to_json,
@@ -145,6 +147,71 @@ def test_measure_invariants():
     total = sum(iv.right - iv.left for iv in res.intervals)
     assert res.measure == pytest.approx(total, abs=1e-9)
     assert res.residual == pytest.approx(res.measure - res.main_term, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the integer bisection against a Fraction bisection
+# ---------------------------------------------------------------------------
+
+EQUIV_MAPS = (
+    PowerMap(7),
+    DifferenceMap(parse_family("linpow"), 3, 12),
+    DifferenceMap(parse_family("monomial:k=2"), 1, 2),
+    DifferenceMap(parse_family("factorial"), 2, 3),
+    DifferenceMap(parse_family("geomsum:k=2"), 1, 2),
+)
+EQUIV_IDS = ("power-7", "linpow", "monomial-k2", "factorial", "geomsum-k2")
+EQUIV_INTERVALS = (AB, IntervalSpec(Fraction(3, 2), Fraction(7, 4)))
+
+
+def _fraction_invert(g, lo, hi, y, iters):
+    """The bisection on Fractions, step for step as _invert decides."""
+    for _ in range(iters):
+        mid = (lo + hi) / 2
+        if g.value(mid) < y:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("g", EQUIV_MAPS, ids=EQUIV_IDS)
+def test_integer_bisection_matches_fraction_bisection(g):
+    rng = random.Random(20261020)
+    for interval in EQUIV_INTERVALS:
+        a, b = interval.a, interval.b
+        ga, gb = g.value(a), g.value(b)
+        ys = [ga, gb] + [ga + (gb - ga) * Fraction(rng.randrange(1, 10**6), 10**6)
+                         for _ in range(3)]
+        # values at bisection midpoints, where a step compares equal
+        ys += [g.value(a + (b - a) * t) for t in (Fraction(1, 2), Fraction(3, 8))]
+        for iters in (60, 100):
+            for y in ys:
+                got = _invert(g, a, b, y, iters)
+                assert got == _fraction_invert(g, a, b, y, iters), (y, iters)
+                assert type(got) is Fraction
+
+
+GRID = (Fraction(11, 10), Fraction(3, 2), Fraction(123457, 65536),
+        Fraction(7, 3))
+
+
+def test_power_map_form_is_the_power():
+    for x in GRID:
+        assert Fraction(*PowerMap(7).form(x.numerator, x.denominator)) == x**7
+        assert PowerMap(7).value(x) == x**7
+
+
+@pytest.mark.parametrize("g", EQUIV_MAPS[1:], ids=EQUIV_IDS[1:])
+def test_integer_form_is_the_difference_value(g):
+    for x in GRID:
+        num, den = g.form(x.numerator, x.denominator)
+        assert den > 0
+        assert Fraction(num, den) == diff_value(g.family, x, g.n1, g.n2)
+        assert g.value(x) == diff_value(g.family, x, g.n1, g.n2)
+        # the same point over a scaled denominator gives the same value
+        num, den = g.form(6 * x.numerator, 6 * x.denominator)
+        assert Fraction(num, den) == g.value(x)
 
 
 # ---------------------------------------------------------------------------
