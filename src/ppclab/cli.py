@@ -43,7 +43,7 @@ import sys
 from fractions import Fraction
 
 from ppclab import __version__
-from ppclab.families import orbit, parse_family
+from ppclab.families import DifferenceMap, orbit, parse_family
 from ppclab.hpreal import (
     ALPHA_BITS,
     MUL_BACKEND,
@@ -55,7 +55,6 @@ from ppclab.hpreal import (
 from ppclab.hypothesis import IntervalSpec, check_hypotheses, report_to_json
 from ppclab.measure import (
     CircleInterval,
-    DifferenceMap,
     LevelCapExceeded,
     NonMonotone,
     PowerMap,

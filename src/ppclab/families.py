@@ -11,13 +11,16 @@ Supported families (spec strings in parentheses):
 A family only supplies the exponents; the certified walk over them, and its
 precision plan, is hpreal.frac_walk, so every emitted point carries a
 certified error bound.
+
+DifferenceMap is the difference g = f_{n2} - f_{n1} of two members, the map
+whose growth hypothesis checks and whose level sets measure inverts.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ppclab.hpreal import ExactReal, PrecisionOverflow, UnitPoint, check_delta, frac_walk
@@ -148,62 +151,70 @@ def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
 
 
 # ---------------------------------------------------------------------------
-# family differences f_{n2} - f_{n1}: raw values and stable scaled forms
+# family differences g = f_{n2} - f_{n1}: raw values and stable scaled forms
 # ---------------------------------------------------------------------------
 
 
-def _check_pair(family: SequenceFamily, n1: int, n2: int) -> tuple[int, int]:
-    if family.kind == "kronecker":
-        raise FamilyError(
-            "kronecker differences are degree-1 and degenerate for growth analysis"
-        )
-    if not 1 <= n1 < n2:
-        raise ValueError("need 1 <= n1 < n2, got (%d, %d)" % (n1, n2))
-    return degree(family, n1), degree(family, n2)
+@dataclass(frozen=True)
+class DifferenceMap:
+    """g = f_{n2} - f_{n1} for a sequence family, with the degrees
+    d1 = d_{n1} and d2 = d_{n2} derived once.
 
+    value is an exact Fraction and derivative is exact when x is a Fraction;
+    lead and derivative_over_lead are float forms scaled by x^d2, stable at
+    any degree.
+    """
 
-def diff_value(family: SequenceFamily, x, n1: int, n2: int):
-    """(f_{n2} - f_{n1})(x).  Exact when x is a Fraction."""
-    d1, d2 = _check_pair(family, n1, n2)
-    if family.kind == "geomsum":
-        return (x ** (d2 + 1) - x ** (d1 + 1)) / (x - 1)
-    return x**d2 - x**d1
+    family: SequenceFamily
+    n1: int
+    n2: int
+    d1: int = field(init=False)
+    d2: int = field(init=False)
 
+    def __post_init__(self):
+        if self.family.kind == "kronecker":
+            raise FamilyError(
+                "kronecker differences are degree-1 and degenerate for growth "
+                "analysis")
+        if not 1 <= self.n1 < self.n2:
+            raise ValueError("need 1 <= n1 < n2, got (%d, %d)" % (self.n1, self.n2))
+        object.__setattr__(self, "d1", degree(self.family, self.n1))
+        object.__setattr__(self, "d2", degree(self.family, self.n2))
 
-def diff_form(family: SequenceFamily, X: int, D: int,
-              n1: int, n2: int) -> tuple[int, int]:
-    """(f_{n2} - f_{n1})(X/D) as integers (num, den), den > 0 and not
-    reduced, for integers X > D > 0: Fraction(num, den) is diff_value at X/D."""
-    d1, d2 = _check_pair(family, n1, n2)
-    if family.kind == "geomsum":
-        return (X ** (d2 + 1) - X ** (d1 + 1) * D ** (d2 - d1),
-                D**d2 * (X - D))
-    return X**d2 - X**d1 * D ** (d2 - d1), D**d2
+    def form(self, X: int, D: int) -> tuple[int, int]:
+        """g(X/D) as integers (num, den), den > 0 and not reduced, for
+        integers X > D > 0."""
+        d1, d2 = self.d1, self.d2
+        if self.family.kind == "geomsum":
+            return (X ** (d2 + 1) - X ** (d1 + 1) * D ** (d2 - d1),
+                    D**d2 * (X - D))
+        return X**d2 - X**d1 * D ** (d2 - d1), D**d2
 
+    def value(self, x: Fraction) -> Fraction:
+        x = Fraction(x)
+        return Fraction(*self.form(x.numerator, x.denominator))
 
-def diff_derivative(family: SequenceFamily, x, n1: int, n2: int):
-    """(f_{n2} - f_{n1})'(x).  Exact when x is a Fraction."""
-    d1, d2 = _check_pair(family, n1, n2)
-    if family.kind == "geomsum":
-        b1, b2 = d1 + 1, d2 + 1
-        num = (b2 * x ** (b2 - 1) - b1 * x ** (b1 - 1)) * (x - 1) - (x**b2 - x**b1)
-        return num / (x - 1) ** 2
-    return d2 * x ** (d2 - 1) - d1 * x ** (d1 - 1)
+    def derivative(self, x):
+        """g'(x).  Exact when x is a Fraction."""
+        d1, d2 = self.d1, self.d2
+        if self.family.kind == "geomsum":
+            b1, b2 = d1 + 1, d2 + 1
+            num = (b2 * x ** (b2 - 1) - b1 * x ** (b1 - 1)) * (x - 1) - (x**b2 - x**b1)
+            return num / (x - 1) ** 2
+        return d2 * x ** (d2 - 1) - d1 * x ** (d1 - 1)
 
+    def lead(self, x: float) -> tuple[int, float]:
+        """(d2, g(x)/x^d2), the log form used before any exact power."""
+        d1, d2 = self.d1, self.d2
+        if self.family.kind == "geomsum":
+            return d2, (x - x ** (d1 + 1 - d2)) / (x - 1)
+        return d2, 1.0 - x ** (d1 - d2)
 
-def diff_over_lead(family: SequenceFamily, x: float, n1: int, n2: int) -> float:
-    """(f_{n2} - f_{n1})(x) / x^(d_{n2}), stable at any degree."""
-    d1, d2 = _check_pair(family, n1, n2)
-    if family.kind == "geomsum":
-        return (x - x ** (d1 + 1 - d2)) / (x - 1)
-    return 1.0 - x ** (d1 - d2)
-
-
-def derivative_over_lead(family: SequenceFamily, x: float, n1: int, n2: int) -> float:
-    """(f_{n2} - f_{n1})'(x) / (d_{n2} * x^(d_{n2})), stable at any degree."""
-    d1, d2 = _check_pair(family, n1, n2)
-    if family.kind == "geomsum":
-        b1, b2 = d1 + 1, d2 + 1
-        num = (b2 - b1 * x ** (d1 - d2)) * (x - 1) - (x - x ** (d1 - d2 + 1))
-        return num / (d2 * (x - 1) ** 2)
-    return (1.0 - (d1 / d2) * x ** (d1 - d2)) / x
+    def derivative_over_lead(self, x: float) -> float:
+        """g'(x) / (d2 * x^d2)."""
+        d1, d2 = self.d1, self.d2
+        if self.family.kind == "geomsum":
+            b1, b2 = d1 + 1, d2 + 1
+            num = (b2 - b1 * x ** (d1 - d2)) * (x - 1) - (x - x ** (d1 - d2 + 1))
+            return num / (d2 * (x - 1) ** 2)
+        return (1.0 - (d1 / d2) * x ** (d1 - d2)) / x

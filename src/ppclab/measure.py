@@ -5,7 +5,8 @@ M is intersected with [g(a), g(b)] and pulled back through g by bisection.
 All function values and comparisons are exact: the bisection runs on integers
 over one common denominator, and g(a), g(b) are Fractions, so the only error
 is the final bisection bracket width, which is budgeted as tol/(levels+1) per
-endpoint.  A map g gives form(X, D), the integers (num, den) with
+endpoint.  The maps g are PowerMap (alpha^d) and families.DifferenceMap
+(f_{n2} - f_{n1}).  Each gives form(X, D), the integers (num, den) with
 g(X/D) = num/den, value(x) (the exact Fraction built from form),
 derivative(x) (float) and lead(x), the pair (d, g(x)/x^d) from which the
 level cap is checked in floats before any exact value.
@@ -21,14 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ppclab.families import (
-    SequenceFamily,
-    _check_pair,
-    degree,
-    diff_derivative,
-    diff_form,
-    diff_over_lead,
-)
+from ppclab.families import DifferenceMap
 from ppclab.hypothesis import IntervalSpec
 
 _LEVEL_CAP = 10**6
@@ -138,35 +132,6 @@ class PowerMap:
         return self.d, 1.0
 
 
-@dataclass(frozen=True)
-class DifferenceMap:
-    """g = f_{n2} - f_{n1} for a sequence family."""
-
-    family: SequenceFamily
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        _check_pair(self.family, self.n1, self.n2)
-
-    def form(self, X: int, D: int) -> tuple[int, int]:
-        """g(X/D) as integers (num, den), den > 0 and not reduced."""
-        return diff_form(self.family, X, D, self.n1, self.n2)
-
-    def value(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        return Fraction(*self.form(x.numerator, x.denominator))
-
-    def derivative(self, x: float) -> float:
-        return diff_derivative(self.family, x, self.n1, self.n2)
-
-    def lead(self, x: float) -> tuple[int, float]:
-        """(d, g(x)/x^d) with d = d_{n2}, the log form used before any exact
-        power."""
-        return (degree(self.family, self.n2),
-                diff_over_lead(self.family, x, self.n1, self.n2))
-
-
 def _validate_tol(tol) -> Fraction:
     tol_frac = Fraction(tol)
     if not _MIN_TOL <= tol_frac <= _MAX_TOL:
@@ -174,7 +139,7 @@ def _validate_tol(tol) -> Fraction:
     return tol_frac
 
 
-def _log_rise(g, interval: IntervalSpec) -> float:
+def _log_rise(g: PowerMap | DifferenceMap, interval: IntervalSpec) -> float:
     """ln(g(b) - g(a)) in floats, from g(x) = x^d * lead(x) with lead > 0.
 
     ln(g(b) - g(a)) = d*ln(b) + ln(lead(b)) + ln(1 - g(a)/g(b)), where
@@ -198,7 +163,8 @@ def _log_rise(g, interval: IntervalSpec) -> float:
         return math.inf
 
 
-def _checked_range(g, interval: IntervalSpec) -> tuple[Fraction, Fraction]:
+def _checked_range(g: PowerMap | DifferenceMap,
+                   interval: IntervalSpec) -> tuple[Fraction, Fraction]:
     """(g(a), g(b)) once g is increasing and the level count within the cap.
 
     The float estimate of g(b) - g(a) rejects far-off degrees before any
@@ -224,7 +190,8 @@ def _checked_range(g, interval: IntervalSpec) -> tuple[Fraction, Fraction]:
     return ga, gb
 
 
-def _invert(g, lo: Fraction, hi: Fraction, y: Fraction, iters: int) -> Fraction:
+def _invert(g: PowerMap | DifferenceMap, lo: Fraction, hi: Fraction,
+            y: Fraction, iters: int) -> Fraction:
     """Point x in [lo, hi] with |x - g^/-1(y)| <= (hi-lo) * 2^-(iters+1).
 
     Every midpoint of the bisection is X/D over one common denominator
@@ -251,8 +218,8 @@ def _iterations(interval: IntervalSpec, levels: int, tol: Fraction) -> int:
     return max(60, math.ceil(math.log2(need)))
 
 
-def _band_preimage(g, interval: IntervalSpec, ga: Fraction, gb: Fraction,
-                   ylo: Fraction, yhi: Fraction,
+def _band_preimage(g: PowerMap | DifferenceMap, interval: IntervalSpec,
+                   ga: Fraction, gb: Fraction, ylo: Fraction, yhi: Fraction,
                    iters: int) -> tuple[Fraction, Fraction] | None:
     lo = max(ylo, ga)
     hi = min(yhi, gb)
@@ -266,8 +233,8 @@ def _band_preimage(g, interval: IntervalSpec, ga: Fraction, gb: Fraction,
     return x_lo, x_hi
 
 
-def level_set_measure(g, interval: IntervalSpec, target: CircleInterval,
-                      tol) -> MeasureResult:
+def level_set_measure(g: PowerMap | DifferenceMap, interval: IntervalSpec,
+                      target: CircleInterval, tol) -> MeasureResult:
     """Lebesgue measure of {alpha: fractional part of g(alpha) in target}."""
     tol_frac = _validate_tol(tol)
     ga, gb = _checked_range(g, interval)

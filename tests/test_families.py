@@ -15,12 +15,9 @@ import pytest
 from ppclab.families import (
     ORBIT_N_CAP,
     FamilyError,
+    DifferenceMap,
     SequenceFamily,
     degree,
-    derivative_over_lead,
-    diff_derivative,
-    diff_over_lead,
-    diff_value,
     orbit,
     parse_family,
 )
@@ -481,50 +478,63 @@ def test_gap_powers_are_reused_and_grown_inside_a_segment(monkeypatch, prec):
 # ---------------------------------------------------------------------------
 
 
+def _direct_difference(fam, x, n1, n2):
+    """f_{n2}(x) - f_{n1}(x) straight from the family's definition."""
+    d1, d2 = degree(fam, n1), degree(fam, n2)
+    if fam.kind == "geomsum":
+        return (x ** (d2 + 1) - x ** (d1 + 1)) / (x - 1)
+    return x**d2 - x**d1
+
+
 def test_diff_value_geomsum_example():
     # (1.5^5 - 1.5^2) / 0.5 = 10.6875 = x^4 + x^3 + x^2 at x = 1.5
     x = Fraction(3, 2)
-    v = diff_value(GEO2, x, 1, 2)
+    v = DifferenceMap(GEO2, 1, 2).value(x)
     assert v == x**4 + x**3 + x**2 == Fraction(171, 16)
 
 
 def test_diff_value_monomial():
-    assert diff_value(MON2, Fraction(2), 1, 2) == 2**4 - 2**1
-    assert diff_value(FACT, 1.5, 2, 3) == 1.5**6 - 1.5**2
+    assert DifferenceMap(MON2, 1, 2).value(Fraction(2)) == 2**4 - 2**1
+    assert DifferenceMap(FACT, 2, 3).value(1.5) == 1.5**6 - 1.5**2
 
 
 def test_diff_derivative_finite_difference_oracle():
     h = 1e-6
     for fam, n1, n2 in ((MON2, 2, 5), (GEO2, 1, 3), (LIN, 3, 9), (FACT, 2, 4)):
+        g = DifferenceMap(fam, n1, n2)
         for x in (1.3, 1.7, 2.4):
-            want = (diff_value(fam, x + h, n1, n2) - diff_value(fam, x - h, n1, n2)) / (2 * h)
-            got = diff_derivative(fam, x, n1, n2)
-            assert got == pytest.approx(want, rel=1e-6)
+            want = (_direct_difference(fam, x + h, n1, n2)
+                    - _direct_difference(fam, x - h, n1, n2)) / (2 * h)
+            assert g.derivative(x) == pytest.approx(want, rel=1e-6)
 
 
 def test_scaled_forms_match_raw_ratios():
     for fam, n1, n2 in ((MON2, 1, 3), (GEO2, 2, 4), (LIN, 5, 11), (FACT, 2, 5)):
+        g = DifferenceMap(fam, n1, n2)
         d2 = degree(fam, n2)
         for x in (1.25, 1.8, 2.6):
             lead = x**d2
-            assert diff_over_lead(fam, x, n1, n2) == pytest.approx(
-                diff_value(fam, x, n1, n2) / lead, rel=1e-12)
-            assert derivative_over_lead(fam, x, n1, n2) == pytest.approx(
-                diff_derivative(fam, x, n1, n2) / (d2 * lead), rel=1e-12)
+            d, ratio = g.lead(x)
+            assert d == d2
+            assert ratio == pytest.approx(
+                _direct_difference(fam, x, n1, n2) / lead, rel=1e-12)
+            assert g.derivative_over_lead(x) == pytest.approx(
+                g.derivative(x) / (d2 * lead), rel=1e-12)
 
 
 def test_scaled_forms_stable_at_huge_degree():
     # raw values overflow floats here; the scaled forms must not
-    v = diff_over_lead(FACT, 1.5, 9, 10)
-    dv = derivative_over_lead(FACT, 1.5, 9, 10)
+    g = DifferenceMap(FACT, 9, 10)
+    _, v = g.lead(1.5)
+    dv = g.derivative_over_lead(1.5)
     assert 0.99 <= v <= 1.0
     assert 0.6 < dv < 0.7  # ~ 1/x
 
 
 def test_kronecker_differences_rejected():
-    with pytest.raises(FamilyError):
-        diff_value(KRON, 1.5, 1, 2)
-    with pytest.raises(FamilyError):
-        diff_derivative(KRON, 1.5, 1, 2)
-    with pytest.raises(ValueError):
-        diff_value(MON2, 1.5, 3, 3)
+    with pytest.raises(FamilyError, match="kronecker differences"):
+        DifferenceMap(KRON, 1, 2)
+    with pytest.raises(ValueError, match="need 1 <= n1 < n2"):
+        DifferenceMap(MON2, 3, 3)
+    with pytest.raises(ValueError, match="need 1 <= n1 < n2"):
+        DifferenceMap(MON2, 0, 2)

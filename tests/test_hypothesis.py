@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from ppclab.families import FamilyError, degree, diff_over_lead, parse_family
+from ppclab.families import DifferenceMap, FamilyError, degree, parse_family
+from ppclab.hpreal import PrecisionOverflow
 from ppclab.hypothesis import (
     FAILS,
     GRID_SIZE_CAP,
@@ -83,7 +84,7 @@ def test_monomial_grid_ratios_inside_certified_envelope():
         for n2 in range(n1 + 1, 11):
             for i in range(64):
                 x = 1.5 + i * 0.5 / 63
-                r = diff_over_lead(fam, x, n1, n2)
+                _, r = DifferenceMap(fam, n1, n2).lead(x)
                 assert lo - 1e-12 <= r <= 1.0 + 1e-12
 
 
@@ -225,6 +226,15 @@ def test_find_n1_rejects_kronecker_and_bad_bounds():
         find_N1(parse_family("kronecker"), AB, 2.0, 10, 10)
     with pytest.raises(ValueError):
         find_N1(parse_family("linpow"), AB, 2.0, 1, 10)
+
+
+def test_find_n1_scan_leaves_the_float_range_before_the_degree_cap():
+    # monomial:k=400: d_6 = 6^400 has 1034 bits, past the float range, while
+    # d_35 is the first degree past families.DEGREE_CAP_BITS; the scan's
+    # first row stops at n2 = 6, before it reaches that degree
+    with pytest.raises(PrecisionOverflow,
+                       match=r"condition \(5\) at degrees of 1 and 1034 bits"):
+        find_N1(parse_family("monomial:k=400"), AB, 3.0, 200, 500)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from ppclab.families import diff_value, parse_family
+from ppclab import families
+from ppclab.families import DifferenceMap, degree, parse_family
 from ppclab.hypothesis import IntervalSpec
 from ppclab.measure import (
     CircleInterval,
-    DifferenceMap,
     LevelCapExceeded,
     NonMonotone,
     PowerMap,
@@ -202,16 +202,39 @@ def test_power_map_form_is_the_power():
         assert PowerMap(7).value(x) == x**7
 
 
+def _direct_difference(g, x):
+    """f_{n2}(x) - f_{n1}(x) straight from the family's definition."""
+    d1, d2 = degree(g.family, g.n1), degree(g.family, g.n2)
+    if g.family.kind == "geomsum":
+        return (x ** (d2 + 1) - x ** (d1 + 1)) / (x - 1)
+    return x**d2 - x**d1
+
+
 @pytest.mark.parametrize("g", EQUIV_MAPS[1:], ids=EQUIV_IDS[1:])
 def test_integer_form_is_the_difference_value(g):
     for x in GRID:
         num, den = g.form(x.numerator, x.denominator)
         assert den > 0
-        assert Fraction(num, den) == diff_value(g.family, x, g.n1, g.n2)
-        assert g.value(x) == diff_value(g.family, x, g.n1, g.n2)
+        assert Fraction(num, den) == _direct_difference(g, x)
+        assert g.value(x) == _direct_difference(g, x)
         # the same point over a scaled denominator gives the same value
         num, den = g.form(6 * x.numerator, 6 * x.denominator)
         assert Fraction(num, den) == g.value(x)
+
+
+def test_difference_map_derives_its_degrees_once(monkeypatch):
+    # the degrees are fixed when the map is built: a measure, with every
+    # bisection step, must not recompute them
+    maps = (DifferenceMap(parse_family("linpow"), 3, 12),
+            DifferenceMap(parse_family("geomsum:k=2"), 1, 2))
+    target = CircleInterval.arc(0, Fraction(1, 4))
+    want = [level_set_measure(g, AB, target, TOL) for g in maps]
+
+    def never(family, n):
+        raise AssertionError("degree recomputed")
+
+    monkeypatch.setattr(families, "degree", never)
+    assert [level_set_measure(g, AB, target, TOL) for g in maps] == want
 
 
 # ---------------------------------------------------------------------------
