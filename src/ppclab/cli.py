@@ -8,8 +8,9 @@ statistic over an alpha interval.
 
 Exit codes: 0 success, 1 usage error (single machine-readable line on stderr
 before any computation), 2 numeric or precision failure.  Every input rule
-(alpha > 1 on its 128-bit grid, delta, s and the blur bound, 1 < a < b, tol,
-the hypothesis scan bounds) lives in the library function or constructor that
+(alpha > 1 on its 128-bit grid, delta, s > 0 within the float range and the
+blur bound, 1 < a < b with b within the float range, tol, the hypothesis scan
+bounds) lives in the library function or constructor that
 owns the value; this module only turns flag text into values and adds the
 rules of the command line itself: N >= 2 and the flag combinations, stated in
 the parser where argparse can state them.  `main` maps errors in one place:

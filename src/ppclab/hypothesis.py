@@ -12,6 +12,10 @@ actually exercised, `fails` always carries a replayable witness, and
 `skipped` marks conditions that do not apply (constant-degree families).
 All logarithms are natural; the condition-(5) comparison is base-invariant
 because every term on both sides is a logarithm.
+
+`check_hypotheses` is the one entry point: it checks every scan bound, the
+sampled geomsum degree and float(a) > 1 before any work, and its four private
+condition steps trust those checks and return verdicts.
 """
 
 from __future__ import annotations
@@ -20,13 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ppclab.families import (
-    FACTORIAL_CAP,
-    DifferenceMap,
-    FamilyError,
-    SequenceFamily,
-    degree,
-)
+from ppclab.families import FACTORIAL_CAP, DifferenceMap, SequenceFamily, degree
 from ppclab.hpreal import PrecisionOverflow
 
 HOLDS = "holds"
@@ -69,6 +67,10 @@ class IntervalSpec:
         object.__setattr__(self, "b", Fraction(self.b))
         if not 1 < self.a < self.b:
             raise ValueError("need 1 < a < b, got [%s, %s]" % (self.a, self.b))
+        try:
+            float(self.b)
+        except OverflowError:
+            raise ValueError("b must be within the float range") from None
 
 
 @dataclass(frozen=True)
@@ -77,20 +79,8 @@ class Verdict:
     witness: dict | None = None
 
 
-class ConditionFailed(ValueError):
-    """A sampled condition produced a concrete counterexample."""
-
-    def __init__(self, message: str, witness: dict):
-        super().__init__(message)
-        self.witness = witness
-
-
-@dataclass(frozen=True)
-class N1Result:
-    N1: int | None
-    tail_certified: bool
-    note: str
-    witness: dict | None
+# conditions (3) to (5) when a grid ratio leaves no constants
+_UNAVAILABLE = Verdict(SKIPPED, {"reason": "constants unavailable"})
 
 
 @dataclass(frozen=True)
@@ -117,16 +107,12 @@ def _float_a(interval: IntervalSpec) -> float:
 
 
 def _grid(interval: IntervalSpec, grid_size: int) -> list[Fraction]:
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
     step = (interval.b - interval.a) / (grid_size - 1)
     return [interval.a + i * step for i in range(grid_size)]
 
 
-def check_condition1(family: SequenceFamily, n_max: int) -> Verdict:
+def _condition1(family: SequenceFamily, n_max: int) -> Verdict:
     """Degrees strictly increase up to n_max."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
     if family.kind == "kronecker":
         return Verdict(FAILS, {"reason": "deg(f_n) = 1 for all n"})
     prev = degree(family, 1)
@@ -138,15 +124,9 @@ def check_condition1(family: SequenceFamily, n_max: int) -> Verdict:
     return Verdict(HOLDS)
 
 
-def check_condition2(family: SequenceFamily, interval: IntervalSpec,
-                     n_max: int, grid_size: int) -> Verdict:
+def _condition2(family: SequenceFamily, interval: IntervalSpec,
+                n_max: int, grid_size: int) -> Verdict:
     """Differences strictly increasing and convex on [a, b]."""
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    if family.kind == "kronecker":
-        return Verdict(SKIPPED, {"reason": "constant degrees, nothing to check"})
     if family.kind in _CLOSED_FORM_CONVEX:
         return Verdict(HOLDS, {
             "certificate": "x^d2 - x^d1 with d2 > d1 >= 1 has positive first and "
@@ -159,9 +139,7 @@ def check_condition2(family: SequenceFamily, interval: IntervalSpec,
         for n2 in range(n1 + 1, n_max + 1):
             g = DifferenceMap(family, n1, n2)
             vals = [g.value(x) for x in xs]
-            scale = max(abs(v) for v in vals)
-            if scale == 0:
-                scale = Fraction(1)
+            scale = max(abs(v) for v in vals) or Fraction(1)
             for x in xs:
                 der = g.derivative(x)
                 if der <= 0:
@@ -179,23 +157,22 @@ def check_condition2(family: SequenceFamily, interval: IntervalSpec,
     return Verdict(SAMPLED, {"grid_size": grid_size, "n_max": n_max})
 
 
-def estimate_constants(family: SequenceFamily, interval: IntervalSpec,
-                       n_max: int, grid_size: int) -> tuple[float, float]:
-    """(c_ab, C_ab): derivative lower bound and two-sided value bound.
+def _constants(family: SequenceFamily, interval: IntervalSpec, a: float,
+               n_max: int, grid_size: int
+               ) -> tuple[Verdict, Verdict, float | None, float | None]:
+    """Verdicts (3) and (4) with their constants c_ab (derivative lower
+    bound) and C_ab (two-sided value bound).
 
     Monomial gets certified closed forms; other families are minimized and
     maximized over the grid with a 1% margin applied in the safe direction.
+    A nonpositive grid ratio fails its bound and leaves both constants None.
     """
-    if family.kind == "kronecker":
-        raise FamilyError("constants are undefined for constant-degree families")
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    a = _float_a(interval)
-    b = float(interval.b)
     if family.kind == "monomial":
         # ratio = 1 - alpha^(d1-d2) lies in [1 - 1/a, 1), so
         # C_ab = a/(a-1) and c_ab = (1 - 1/a)/b hold for every pair
-        return (1.0 - 1.0 / a) / b, a / (a - 1.0)
+        cert = Verdict(HOLDS, {"certificate": "closed-form envelope "
+                                              "1 - alpha^(d1-d2) in [1 - 1/a, 1)"})
+        return cert, cert, (1.0 - 1.0 / a) / float(interval.b), a / (a - 1.0)
     xs = [float(x) for x in _grid(interval, grid_size)]
     c_min = math.inf
     r_max = 1.0
@@ -205,23 +182,18 @@ def estimate_constants(family: SequenceFamily, interval: IntervalSpec,
             for x in xs:
                 _, ratio = g.lead(x)
                 if ratio <= 0:
-                    raise ConditionFailed("value ratio nonpositive", {
-                        "bound": "value", "n1": n1, "n2": n2,
-                        "x": x, "ratio": ratio,
-                    })
-                if ratio > r_max:
-                    r_max = ratio
-                if 1.0 / ratio > r_max:
-                    r_max = 1.0 / ratio
+                    return _UNAVAILABLE, Verdict(FAILS, {
+                        "bound": "value", "n1": n1, "n2": n2, "x": x,
+                        "ratio": ratio}), None, None
+                r_max = max(r_max, ratio, 1.0 / ratio)
                 der = g.derivative_over_lead(x)
                 if der <= 0:
-                    raise ConditionFailed("derivative ratio nonpositive", {
-                        "bound": "derivative", "n1": n1, "n2": n2,
-                        "x": x, "ratio": der,
-                    })
-                if der < c_min:
-                    c_min = der
-    return c_min * 0.99, r_max * 1.01
+                    return Verdict(FAILS, {
+                        "bound": "derivative", "n1": n1, "n2": n2, "x": x,
+                        "ratio": der}), _UNAVAILABLE, None, None
+                c_min = min(c_min, der)
+    sampled = Verdict(SAMPLED, {"grid_size": grid_size, "n_max": n_max})
+    return sampled, sampled, c_min * 0.99, r_max * 1.01
 
 
 def condition5_lhs(d1: int, d2: int, C: float, a: float) -> float:
@@ -275,9 +247,11 @@ def _scan_violations(family: SequenceFamily, C: float, a: float,
     return last_bad, witness
 
 
-def find_N1(family: SequenceFamily, interval: IntervalSpec, C: float,
-            n1_search_max: int, n2_verify_max: int) -> N1Result:
-    """Smallest N1 with no violation for N1 <= n1 < n2 <= n2_verify_max.
+def _condition5(family: SequenceFamily, a: float, C: float,
+                n1_search_max: int, n2_verify_max: int
+                ) -> tuple[Verdict, int | None]:
+    """Verdict (5) and the smallest N1 with no violation for
+    N1 <= n1 < n2 <= n2_verify_max, or None when it fails.
 
     For monomial (k >= 2) and factorial degrees, N1 is additionally pushed
     to the first index with d_{N1}*ln(a) >= 2*ln(C); past that point the
@@ -285,34 +259,25 @@ def find_N1(family: SequenceFamily, interval: IntervalSpec, C: float,
     all n2 beyond the verify bound.  Other families are only verified up to
     n2_verify_max and flagged as such.
     """
-    if n1_search_max < 2 or n2_verify_max < 2:
-        raise ValueError("search bounds must be >= 2")
-    if family.kind == "kronecker":
-        raise FamilyError("condition (5) is undefined for constant-degree families")
-    a = _float_a(interval)
-    n2_max = n2_verify_max
-    if family.kind == "factorial":
-        n2_max = min(n2_max, FACTORIAL_CAP)
+    n2_max = (min(n2_verify_max, FACTORIAL_CAP) if family.kind == "factorial"
+              else n2_verify_max)
     last_bad, witness = _scan_violations(family, C, a, n2_max)
     base = last_bad + 1
-    if base > n1_search_max:
-        return N1Result(None, False,
-                        "violations persist past n1_search_max", witness)
+    if base > n1_search_max:  # violations persist past n1_search_max
+        return Verdict(FAILS, witness), None
     certifiable = family.kind == "factorial" or (
         family.kind == "monomial" and family.k >= 2)
-    if certifiable:
-        need = 2.0 * math.log(C) / math.log(a)
-        n1 = base
-        while degree(family, n1) < need:
-            n1 += 1
-            if n1 > n1_search_max:
-                return N1Result(None, False,
-                                "no index with a certified tail within "
-                                "n1_search_max", witness)
-        return N1Result(n1, True,
-                        "tail certified: d_N1*ln(a) >= 2*ln(C)", None)
-    return N1Result(base, False,
-                    "verified up to n2 = %d only" % n2_max, None)
+    if not certifiable:
+        return Verdict(SAMPLED, {"N1": base, "note": "verified up to n2 = %d "
+                                                    "only" % n2_max}), base
+    need = 2.0 * math.log(C) / math.log(a)
+    n1 = base
+    while degree(family, n1) < need:
+        n1 += 1
+        if n1 > n1_search_max:  # no certified tail within n1_search_max
+            return Verdict(FAILS, witness), None
+    return Verdict(HOLDS, {"N1": n1, "note": "tail certified: "
+                                             "d_N1*ln(a) >= 2*ln(C)"}), n1
 
 
 def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
@@ -322,9 +287,9 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
     """Run all five condition checks and assemble the report.
 
     All four scan bounds, the sampled geomsum degree and float(a) > 1 are
-    checked before condition (1) runs.
+    checked here, before condition (1) runs; the condition steps trust them.
     """
-    _float_a(interval)
+    a = _float_a(interval)
     if not 2 <= n_max <= N_MAX_CAP:
         raise ValueError("n_max must be in [2, %d], got %d" % (N_MAX_CAP, n_max))
     if not 3 <= grid_size <= GRID_SIZE_CAP:
@@ -339,42 +304,21 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
             and n_max ** min(family.k, 64) + 1 > SAMPLED_DEGREE_CAP):
         raise ValueError("geomsum:k=%d at n_max %d samples degree n_max^k + 1 "
                          "above %d" % (family.k, n_max, SAMPLED_DEGREE_CAP))
-    v1 = check_condition1(family, n_max)
+    v1 = _condition1(family, n_max)
+    c_ab = C_ab = N1 = None
     if family.kind == "kronecker":
-        skip = Verdict(SKIPPED, {"reason": "degree-growth conditions do not "
-                                           "apply: deg(f_n) = 1 for all n"})
-        return HypothesisReport(family, interval, (v1, skip, skip, skip, skip),
-                                None, None, None, n_max, grid_size,
-                                n1_search_max, n2_verify_max)
-    v2 = check_condition2(family, interval, n_max, grid_size)
-    try:
-        c_ab, C_ab = estimate_constants(family, interval, n_max, grid_size)
-    except ConditionFailed as exc:
-        fails = Verdict(FAILS, exc.witness)
-        skip = Verdict(SKIPPED, {"reason": "constants unavailable"})
-        if exc.witness.get("bound") == "derivative":
-            v3, v4 = fails, skip
+        v2 = v3 = v4 = v5 = Verdict(SKIPPED, {
+            "reason": "degree-growth conditions do not apply: "
+                      "deg(f_n) = 1 for all n"})
+    else:
+        v2 = _condition2(family, interval, n_max, grid_size)
+        v3, v4, c_ab, C_ab = _constants(family, interval, a, n_max, grid_size)
+        if C_ab is None:
+            v5 = _UNAVAILABLE
         else:
-            v3, v4 = skip, fails
-        return HypothesisReport(family, interval, (v1, v2, v3, v4, skip),
-                                None, None, None, n_max, grid_size,
-                                n1_search_max, n2_verify_max)
-    if family.kind == "monomial":
-        cert = Verdict(HOLDS, {"certificate": "closed-form envelope "
-                                              "1 - alpha^(d1-d2) in [1 - 1/a, 1)"})
-        v3 = v4 = cert
-    else:
-        sampled = Verdict(SAMPLED, {"grid_size": grid_size, "n_max": n_max})
-        v3 = v4 = sampled
-    n1 = find_N1(family, interval, C_ab, n1_search_max, n2_verify_max)
-    if n1.N1 is None:
-        v5 = Verdict(FAILS, n1.witness)
-    elif n1.tail_certified:
-        v5 = Verdict(HOLDS, {"N1": n1.N1, "note": n1.note})
-    else:
-        v5 = Verdict(SAMPLED, {"N1": n1.N1, "note": n1.note})
+            v5, N1 = _condition5(family, a, C_ab, n1_search_max, n2_verify_max)
     return HypothesisReport(family, interval, (v1, v2, v3, v4, v5),
-                            c_ab, C_ab, n1.N1, n_max, grid_size,
+                            c_ab, C_ab, N1, n_max, grid_size,
                             n1_search_max, n2_verify_max)
 
 

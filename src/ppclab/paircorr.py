@@ -57,6 +57,10 @@ def _as_fraction_s(s) -> Fraction:
     s_frac = Fraction(s)
     if s_frac <= 0:
         raise ValueError("s must be positive")
+    try:
+        float(s_frac)
+    except OverflowError:
+        raise ValueError("s must be within the float range") from None
     return s_frac
 
 

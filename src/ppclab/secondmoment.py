@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ppclab.families import SequenceFamily, check_orbit_length, orbit
+from ppclab.families import SequenceFamily, check_orbit_length
 from ppclab.hpreal import (
     ALPHA_BITS,
     ExactReal,
@@ -27,7 +27,7 @@ from ppclab.hpreal import (
     parse_alpha,
 )
 from ppclab.hypothesis import IntervalSpec
-from ppclab.paircorr import check_resolution, pair_count
+from ppclab.paircorr import check_resolution, ppc_curve
 
 _MASK64 = (1 << 64) - 1
 
@@ -99,9 +99,9 @@ def default_delta(s, n_max: int) -> Fraction:
 
 
 def _node_stats(args) -> list[float]:
-    family, alpha, n_list, s, delta = args
-    orb = orbit(family, alpha, n_list[-1], delta)
-    return [pair_count(orb.points[:n], s).statistic for n in n_list]
+    """One node's statistics along n_list; module-level so a pool can
+    pickle it."""
+    return [stat for _, stat in ppc_curve(*args)]
 
 
 def _usable_cpus() -> int:
@@ -135,7 +135,7 @@ def _columns(results) -> list[list[float]]:
 def _run_nodes(family: SequenceFamily, alphas: Sequence[ExactReal],
                n_list: Sequence[int], s: Fraction, delta: Fraction,
                threads: int) -> list[list[float]]:
-    jobs = [(family, alpha, list(n_list), s, delta) for alpha in alphas]
+    jobs = [(family, alpha, s, list(n_list), delta) for alpha in alphas]
     workers = _pool_size(threads, len(jobs), _usable_cpus())
     if workers == 1:
         return _columns(_node_stats(job) for job in jobs)

@@ -498,6 +498,19 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     ["second-moment", "--selftest", "--N", "7", "--family", "linpow",
      "--K", "3"],
     ["second-moment", "--selftest", "--K", "99", "--seed", "5"],
+    # an endpoint or scale beyond the float range
+    ["hypothesis", "--family", "linpow", "--a", "1.5", "--b", "1e400"],
+    ["hypothesis", "--family", "monomial:k=2", "--a", "1e400", "--b", "1e401"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N", "5",
+     "--s", "1e400"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N-list", "5,6",
+     "--s", "1e400"],
+    ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--s", "1e400", "--N", "5", "--K", "2", "--threads", "1"],
+    ["second-moment", "--family", "kronecker", "--a", "1.5", "--b", "1e400",
+     "--s", "1", "--N", "5", "--K", "2", "--threads", "1"],
+    ["measure", "--a", "1.5", "--b", "1e400", "--degree", "2",
+     "--target-c", "0", "--target-d", "0.25"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -535,6 +548,12 @@ def test_unwritable_out_names_the_flag(tmp_path, capsys):
     ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
      "--s", "1", "--N", "100000000", "--threads", "1"],
     ["hypothesis", "--family", "geomsum:k=10", "--a", "1.5", "--b", "2"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N", "5",
+     "--s", "1e400"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N-list", "5,6",
+     "--s", "1e400"],
+    ["second-moment", "--family", "kronecker", "--a", "1.5", "--b", "1e400",
+     "--s", "1", "--N", "5", "--K", "2", "--threads", "1"],
 ])
 def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
                                                        argv):
@@ -548,7 +567,7 @@ def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", never)
     monkeypatch.setattr(sm, "quadrature_nodes", never)
-    monkeypatch.setattr(hyp, "check_condition1", never)
+    monkeypatch.setattr(hyp, "_condition1", never)
     monkeypatch.setattr(ms, "_iterations", never)
     monkeypatch.setattr(fam, "frac_walk", never)
     monkeypatch.setattr(fam, "UnitPoint", never)  # the Kronecker walk

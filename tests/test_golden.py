@@ -1,4 +1,4 @@
-"""Golden bytes: the sha256 of fifteen reference artifacts, frozen.
+"""Golden bytes: the sha256 of nineteen reference artifacts, frozen.
 
 A change that keeps these digests keeps every byte the CLI writes for them:
 orbit points, statistics, reports and the embedded replay config.  The first
@@ -94,6 +94,22 @@ ARTIFACTS = [
          "--a", "1.5", "--b", "2", "--target-c", "0", "--target-d", "0.25"],
         "e48e7f4948bbfb21c58522620203d6704f40af50d52c128b9bf25203ac087130",
         id="measure-geomsum"),
+    pytest.param(
+        ["hypothesis", "--family", "linpow", "--a", "1.5", "--b", "2"],
+        "c7bd66e51323349e3cc15a3ce09e04fa31d926d4adcb5baf7d71f2ee3b9ac7d2",
+        id="hypothesis-linpow"),
+    pytest.param(
+        ["hypothesis", "--family", "geomsum:k=2", "--a", "1.5", "--b", "2"],
+        "7ce9fd7c6718c782bbbd9c007b77eb29caa5cfee3c0a9f4485f1fe4dbeb107e6",
+        id="hypothesis-geomsum"),
+    pytest.param(
+        ["hypothesis", "--family", "factorial", "--a", "1.5", "--b", "2"],
+        "19f15f624fa8cfc012e707d54be29e002d49a0b40ef010c35a66ccd41119b82e",
+        id="hypothesis-factorial"),
+    pytest.param(
+        ["hypothesis", "--family", "kronecker", "--a", "1.5", "--b", "2"],
+        "cbce270272861950c62cc48e837a631b623bebd2a5bdc4fa5b26205543dc1b30",
+        id="hypothesis-kronecker"),
 ]
 
 

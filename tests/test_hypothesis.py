@@ -1,10 +1,11 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
-from ppclab.families import DifferenceMap, FamilyError, degree, parse_family
+from ppclab.families import DifferenceMap, degree, parse_family
 from ppclab.hpreal import PrecisionOverflow
 from ppclab.hypothesis import (
     FAILS,
@@ -16,12 +17,12 @@ from ppclab.hypothesis import (
     SAMPLED_DEGREE_CAP,
     SKIPPED,
     IntervalSpec,
-    check_condition1,
-    check_condition2,
+    _condition1,
+    _condition2,
+    _condition5,
+    _constants,
     check_hypotheses,
     condition5_lhs,
-    estimate_constants,
-    find_N1,
     report_to_json,
 )
 
@@ -37,6 +38,9 @@ def test_interval_validation():
     for a, b in ((1, 2), (0.5, 2), (2, 2), (3, 2)):
         with pytest.raises(ValueError):
             IntervalSpec(a, b)
+    IntervalSpec(1.5, 1e308)
+    with pytest.raises(ValueError, match="b must be within the float range"):
+        IntervalSpec(1.5, Fraction(10**400))
 
 
 # ---------------------------------------------------------------------------
@@ -44,25 +48,20 @@ def test_interval_validation():
 # ---------------------------------------------------------------------------
 
 def test_condition1():
-    assert check_condition1(parse_family("monomial:k=2"), 100).status == HOLDS
-    assert check_condition1(parse_family("factorial"), 10).status == HOLDS
-    v = check_condition1(parse_family("kronecker"), 100)
+    assert _condition1(parse_family("monomial:k=2"), 100).status == HOLDS
+    assert _condition1(parse_family("factorial"), 10).status == HOLDS
+    v = _condition1(parse_family("kronecker"), 100)
     assert v.status == FAILS
     assert "deg" in v.witness["reason"]
-    with pytest.raises(ValueError):
-        check_condition1(parse_family("monomial:k=2"), 1)
 
 
 def test_condition2():
-    assert check_condition2(parse_family("monomial:k=2"), AB, 10, 64).status == HOLDS
-    assert check_condition2(parse_family("linpow"), AB, 10, 64).status == HOLDS
-    assert check_condition2(parse_family("factorial"), AB, 8, 64).status == HOLDS
-    v = check_condition2(parse_family("geomsum:k=2"), AB, 8, 64)
+    assert _condition2(parse_family("monomial:k=2"), AB, 10, 64).status == HOLDS
+    assert _condition2(parse_family("linpow"), AB, 10, 64).status == HOLDS
+    assert _condition2(parse_family("factorial"), AB, 8, 64).status == HOLDS
+    v = _condition2(parse_family("geomsum:k=2"), AB, 8, 64)
     assert v.status == SAMPLED
     assert v.witness == {"grid_size": 64, "n_max": 8}
-    assert check_condition2(parse_family("kronecker"), AB, 8, 64).status == SKIPPED
-    with pytest.raises(ValueError):
-        check_condition2(parse_family("linpow"), AB, 8, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -70,10 +69,11 @@ def test_condition2():
 # ---------------------------------------------------------------------------
 
 def test_monomial_constants_closed_form():
-    c, C = estimate_constants(parse_family("monomial:k=2"), AB, 10, 64)
+    _, _, c, C = _constants(parse_family("monomial:k=2"), AB, 1.5, 10, 64)
     assert C == 3.0
     assert c == pytest.approx(1.0 / 6.0, rel=1e-15)
-    _, C23 = estimate_constants(parse_family("monomial:k=2"), IntervalSpec(2, 3), 10, 64)
+    _, _, _, C23 = _constants(parse_family("monomial:k=2"), IntervalSpec(2, 3),
+                              2.0, 10, 64)
     assert C23 == 2.0
 
 
@@ -90,7 +90,7 @@ def test_monomial_grid_ratios_inside_certified_envelope():
 
 def test_grid_constants_match_direct_minimization():
     fam = parse_family("linpow")
-    c, C = estimate_constants(fam, AB, 6, 16)
+    _, _, c, C = _constants(fam, AB, 1.5, 6, 16)
     assert c > 0
     assert C > 1
     # direct recomputation from raw difference formulas at small degrees
@@ -109,19 +109,32 @@ def test_grid_constants_match_direct_minimization():
     assert C == pytest.approx(best_r * 1.01, rel=1e-12)
 
 
-def test_constants_and_n1_reject_an_a_that_rounds_to_one():
+def test_constants_and_n1_reject_an_a_that_rounds_to_one(monkeypatch):
+    import ppclab.hypothesis as hyp
+
+    def never(*args):
+        raise AssertionError("condition (1) ran before the float(a) check")
+
     # 1 < a exactly, but float(a) == 1.0 and the constants divide by a - 1
+    monkeypatch.setattr(hyp, "_condition1", never)
     near_one = IntervalSpec("1.00000000000000000001", 2)
     for fam in ("monomial:k=2", "geomsum:k=1", "linpow"):
         with pytest.raises(ValueError, match="a must exceed 1 as a float"):
-            estimate_constants(parse_family(fam), near_one, 8, 64)
-        with pytest.raises(ValueError, match="a must exceed 1 as a float"):
-            find_N1(parse_family(fam), near_one, 4.0, 20, 40)
+            check_hypotheses(parse_family(fam), near_one, n1_search_max=20,
+                             n2_verify_max=40)
 
 
-def test_constants_reject_kronecker():
-    with pytest.raises(FamilyError):
-        estimate_constants(parse_family("kronecker"), AB, 8, 16)
+def test_constants_reject_kronecker(monkeypatch):
+    import ppclab.hypothesis as hyp
+
+    def never(*args):
+        raise AssertionError("constants estimated for kronecker")
+
+    monkeypatch.setattr(hyp, "_constants", never)
+    monkeypatch.setattr(hyp, "_condition5", never)
+    rep = check_hypotheses(parse_family("kronecker"), AB, grid_size=16)
+    assert [v.status for v in rep.conditions[2:]] == [SKIPPED] * 3
+    assert rep.c_ab is None and rep.C_ab is None
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +188,20 @@ def test_condition5_base_invariance():
 
 
 def test_find_n1_monomial_certified():
-    res = find_N1(parse_family("monomial:k=2"), AB, 3.0, 200, 500)
-    assert res.N1 is not None
-    assert res.tail_certified
-    assert 2 <= res.N1 <= 20
+    v, N1 = _condition5(parse_family("monomial:k=2"), 1.5, 3.0, 200, 500)
+    assert N1 is not None
+    assert v.status == HOLDS
+    assert 2 <= N1 <= 20
     # minimality: the index below N1 sees a violation somewhere
     fam = parse_family("monomial:k=2")
-    n1 = res.N1 - 1
+    n1 = N1 - 1
     assert any(
         condition5_lhs(degree(fam, n1), degree(fam, n2), 3.0, 1.5)
         > -3 * math.log(n2)
         for n2 in range(n1 + 1, 501)
     ) or degree(fam, n1) < 2 * math.log(3.0) / math.log(1.5)
     # certificate replay: every start >= N1 is clean in the verified range
-    for a in range(res.N1, 60):
+    for a in range(N1, 60):
         da = degree(fam, a)
         for b in range(a + 1, 120):
             lhs = condition5_lhs(da, degree(fam, b), 3.0, 1.5)
@@ -197,16 +210,16 @@ def test_find_n1_monomial_certified():
 
 def test_find_n1_factorial():
     fam = parse_family("factorial")
-    _, C = estimate_constants(fam, AB, 8, 32)
-    res = find_N1(fam, AB, C, 10, 12)
-    assert res.N1 is not None
-    assert res.tail_certified
+    _, _, _, C = _constants(fam, AB, 1.5, 8, 32)
+    v, N1 = _condition5(fam, 1.5, C, 10, 12)
+    assert N1 is not None
+    assert v.status == HOLDS
 
 
 def test_find_n1_linpow_fails_with_replayable_witness():
-    res = find_N1(parse_family("linpow"), AB, 2.5, 200, 500)
-    assert res.N1 is None
-    w = res.witness
+    v, N1 = _condition5(parse_family("linpow"), 1.5, 2.5, 200, 500)
+    assert N1 is None
+    w = v.witness
     assert w is not None
     lhs = condition5_lhs(w["d1"], w["d2"], w["C"], w["a"])
     assert lhs == pytest.approx(w["lhs"], rel=1e-12)
@@ -215,17 +228,25 @@ def test_find_n1_linpow_fails_with_replayable_witness():
 
 
 def test_find_n1_geomsum_flagged_not_certified():
-    res = find_N1(parse_family("geomsum:k=2"), AB, 3.0, 200, 120)
-    assert res.N1 is not None
-    assert not res.tail_certified
-    assert "only" in res.note
+    v, N1 = _condition5(parse_family("geomsum:k=2"), 1.5, 3.0, 200, 120)
+    assert N1 is not None
+    assert v.status == SAMPLED
+    assert "only" in v.witness["note"]
 
 
-def test_find_n1_rejects_kronecker_and_bad_bounds():
-    with pytest.raises(FamilyError):
-        find_N1(parse_family("kronecker"), AB, 2.0, 10, 10)
-    with pytest.raises(ValueError):
-        find_N1(parse_family("linpow"), AB, 2.0, 1, 10)
+def test_find_n1_rejects_kronecker_and_bad_bounds(monkeypatch):
+    import ppclab.hypothesis as hyp
+
+    def never(*args):
+        raise AssertionError("condition (5) ran")
+
+    monkeypatch.setattr(hyp, "_condition5", never)
+    rep = check_hypotheses(parse_family("kronecker"), AB, n1_search_max=10,
+                           n2_verify_max=11)
+    assert rep.conditions[4].status == SKIPPED and rep.N1 is None
+    with pytest.raises(ValueError, match="need 2 <= n1_search_max"):
+        check_hypotheses(parse_family("linpow"), AB, n1_search_max=1,
+                         n2_verify_max=10)
 
 
 def test_find_n1_scan_leaves_the_float_range_before_the_degree_cap():
@@ -234,7 +255,7 @@ def test_find_n1_scan_leaves_the_float_range_before_the_degree_cap():
     # first row stops at n2 = 6, before it reaches that degree
     with pytest.raises(PrecisionOverflow,
                        match=r"condition \(5\) at degrees of 1 and 1034 bits"):
-        find_N1(parse_family("monomial:k=400"), AB, 3.0, 200, 500)
+        _condition5(parse_family("monomial:k=400"), 1.5, 3.0, 200, 500)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +268,7 @@ def test_report_rejects_bad_bounds_before_condition_one(monkeypatch):
     def never(*args):
         raise AssertionError("condition (1) ran before the bounds check")
 
-    monkeypatch.setattr(hyp, "check_condition1", never)
+    monkeypatch.setattr(hyp, "_condition1", never)
     for fam in ("monomial:k=2", "kronecker"):
         for bounds in ({"n1_search_max": 1}, {"n_max": 1}, {"grid_size": 2},
                        {"n1_search_max": 50, "n2_verify_max": 50},
@@ -269,7 +290,7 @@ def test_report_caps_the_condition5_scan(monkeypatch):
         raise AssertionError("condition (1) ran before the bounds check")
 
     assert N2_VERIFY_CAP > 500  # the default n2_verify_max
-    monkeypatch.setattr(hyp, "check_condition1", never)
+    monkeypatch.setattr(hyp, "_condition1", never)
     for n2 in (N2_VERIFY_CAP + 1, 100_000_000):
         with pytest.raises(ValueError, match="n2_verify_max <= %d" % N2_VERIFY_CAP):
             check_hypotheses(parse_family("linpow"), AB, n2_verify_max=n2)
@@ -284,7 +305,7 @@ def test_report_caps_the_geomsum_sampled_degree(monkeypatch):
     def reached(*args):
         raise Reached
 
-    monkeypatch.setattr(hyp, "check_condition1", reached)
+    monkeypatch.setattr(hyp, "_condition1", reached)
     assert 2**10 + 1 == SAMPLED_DEGREE_CAP
     # at the cap, and monomial (closed-form condition (2)) at any degree
     for spec, n_max in (("geomsum:k=10", 2), ("geomsum:k=3", 10),
@@ -332,6 +353,37 @@ def test_report_geomsum_sampled():
     assert statuses[3] == SAMPLED
     assert statuses[4] == SAMPLED
     assert rep.N1 is not None
+
+
+@pytest.mark.parametrize("method, bound, v3, v4", [
+    ("lead", "value", SKIPPED, FAILS),
+    ("derivative_over_lead", "derivative", FAILS, SKIPPED),
+])
+@pytest.mark.parametrize("spec, v2", [("linpow", HOLDS),
+                                      ("geomsum:k=2", SAMPLED)])
+def test_report_without_constants(monkeypatch, method, bound, v3, v4, spec,
+                                  v2):
+    # a nonpositive grid ratio for the pair (2, 3) leaves no constants: the
+    # bound it breaks fails, the other bound and condition (5) are skipped
+    real = getattr(DifferenceMap, method)
+
+    def stub(self, x):
+        out = real(self, x)
+        if (self.n1, self.n2) != (2, 3):
+            return out
+        return (out[0], -1.0) if method == "lead" else -1.0
+
+    monkeypatch.setattr(DifferenceMap, method, stub)
+    rep = check_hypotheses(parse_family(spec), AB)
+    assert [v.status for v in rep.conditions] == [HOLDS, v2, v3, v4, SKIPPED]
+    failed = rep.conditions[2 if v3 == FAILS else 3]
+    skipped = rep.conditions[3 if v3 == FAILS else 2]
+    assert failed.witness["bound"] == bound
+    assert (failed.witness["n1"], failed.witness["n2"]) == (2, 3)
+    assert failed.witness["ratio"] == -1.0
+    assert skipped.witness == rep.conditions[4].witness == {
+        "reason": "constants unavailable"}
+    assert rep.c_ab is None and rep.C_ab is None and rep.N1 is None
 
 
 def test_report_factorial_condition5_holds():
