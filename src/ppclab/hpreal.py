@@ -157,14 +157,10 @@ def _r_float(r: tuple[int, int]) -> float:
 
 
 def _ceil_log2_inv(x: Fraction) -> int:
-    """Smallest k >= 0 with 2^-k <= x, i.e. ceil(log2(1/x)) for 0 < x <= 1."""
-    num, den = x.numerator, x.denominator
-    k = max(0, den.bit_length() - num.bit_length())
-    while (num << k) < den:
-        k += 1
-    while k > 0 and (num << (k - 1)) >= den:
-        k -= 1
-    return k
+    """Smallest k >= 0 with 2^-k <= x, i.e. ceil(log2(1/x)) for 0 < x <= 1:
+    2^k >= 1/x holds exactly when 2^k >= ceil(1/x), so k is the bit length
+    of ceil(1/x) - 1."""
+    return (-(-x.denominator // x.numerator) - 1).bit_length()
 
 
 # ---------------------------------------------------------------------------
@@ -397,34 +393,30 @@ class Ball:
         return _r_norm(abs(self.man), self.exp)
 
 
-def _round_mantissa(man, exp: int, prec: int):
-    """Round-half-even to <= prec bits; returns (man, exp, error_exponent|None)."""
+def _rounded(man: int, exp: int, rad: tuple[int, int], prec: int) -> Ball:
+    """The ball man*2^exp +- rad with its midpoint rounded half-even to at
+    most prec bits; the rounding error, half an ulp, is added to rad."""
     neg = man < 0
     a = -man if neg else man
-    bl = a.bit_length()
-    if bl <= prec:
-        return man, exp, None
-    sh = bl - prec
+    sh = a.bit_length() - prec
+    if sh <= 0:
+        return Ball(man, exp, rad)
     rem = a & ((1 << sh) - 1)
     a >>= sh
-    if rem == 0:
-        err_exp = None  # dropped bits were zero: the shift is exact
-    else:
+    if rem:  # else the dropped bits were zero: the shift is exact
         half = 1 << (sh - 1)
         if rem > half or (rem == half and (a & 1)):
             a += 1
-        err_exp = exp + sh - 1
+        rad = _r_add(rad, (1, exp + sh - 1))
     exp += sh
     if a and not (a & 1):
         tz = (a & -a).bit_length() - 1
         a >>= tz
         exp += tz
-    return (-a if neg else a), exp, err_exp
+    return Ball(-a if neg else a, exp, rad)
 
 
 def ball_mul(x: Ball, y: Ball, prec: int) -> Ball:
-    man = _mul(x.man, y.man)
-    exp = x.exp + y.exp
     # |x|*ry + |y|*rx + rx*ry; with one radius zero, _r_add(ZERO, r) is r
     if x.rad[0] and y.rad[0]:
         rad = _r_add(_r_mul(x.magnitude_upper(), y.rad),
@@ -436,10 +428,7 @@ def ball_mul(x: Ball, y: Ball, prec: int) -> Ball:
         rad = _r_mul(x.magnitude_upper(), y.rad)
     else:
         rad = _R_ZERO
-    man, exp, err = _round_mantissa(man, exp, prec)
-    if err is not None:
-        rad = _r_add(rad, (1, err))
-    return Ball(man, exp, rad)
+    return _rounded(_mul(x.man, y.man), x.exp + y.exp, rad, prec)
 
 
 def ball_pow(base: Ball, d: int, prec: int) -> Ball:
@@ -458,16 +447,8 @@ def ball_pow(base: Ball, d: int, prec: int) -> Ball:
 
 def ball_sub_int(x: Ball, k: int, prec: int) -> Ball:
     if x.exp <= 0:
-        man = x.man - (k << -x.exp)
-        exp = x.exp
-    else:
-        man = (x.man << x.exp) - k
-        exp = 0
-    rad = x.rad
-    man, exp, err = _round_mantissa(man, exp, prec)
-    if err is not None:
-        rad = _r_add(rad, (1, err))
-    return Ball(man, exp, rad)
+        return _rounded(x.man - (k << -x.exp), x.exp, x.rad, prec)
+    return _rounded((x.man << x.exp) - k, 0, x.rad, prec)
 
 
 def ball_div_exact(x: Ball, y: ExactReal, prec: int) -> Ball:
@@ -488,10 +469,7 @@ def ball_div_exact(x: Ball, y: ExactReal, prec: int) -> Ball:
         t = y.num.bit_length() + _RAD_BITS + 2
         inv = ((1 << t) // y.num) + 1
         rad = _r_add(rad, _r_mul(x.rad, _r_norm(inv, -t - y.exp)))
-    man, exp, err = _round_mantissa(q, qexp, prec)
-    if err is not None:
-        rad = _r_add(rad, (1, err))
-    return Ball(man, exp, rad)
+    return _rounded(q, qexp, rad, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -565,30 +543,32 @@ def frac_point(ball: Ball, delta) -> UnitPoint:
     return UnitPoint(value, min(_r_float(rad), delta_float))
 
 
-def _gap_split(g_prev: int, g: int) -> tuple[int, int]:
-    """How the walk forms alpha^g from the previous gap power alpha^g_prev:
-    (keep, fresh) with g = keep + fresh, keep in {0, g_prev}, and fresh the
-    exponent of a new ball_pow (0: reuse alpha^g_prev as it is)."""
-    if g == g_prev:
-        return g_prev, 0
-    if g_prev < g < 2 * g_prev:
-        return g_prev, g - g_prev
-    return 0, g
+def _steps(exps):
+    """How a walk over `exps` forms each gap power alpha^g, g the gap to the
+    previous exponent, from the previous one alpha^g_prev: yields (keep,
+    fresh) per exponent with g = keep + fresh, keep in {0, g_prev}, and fresh
+    the exponent of a new ball_pow (0: reuse alpha^g_prev as it is)."""
+    prev = g_prev = 0
+    for e in exps:
+        g = e - prev
+        if g == g_prev:
+            yield g_prev, 0
+        elif g_prev < g < 2 * g_prev:
+            yield g_prev, g - g_prev
+        else:
+            yield 0, g
+        prev, g_prev = e, g
 
 
 def _walk(base: Ball, exps, am1: ExactReal | None, prec: int,
           delta_f: Fraction, first: int) -> list[UnitPoint]:
     running = gap_power = Ball(1, 0)
-    prev = g_prev = 0
     out: list[UnitPoint] = []
-    for i, e in enumerate(exps):
-        g = e - prev
-        keep, fresh = _gap_split(g_prev, g)
+    for i, (keep, fresh) in enumerate(_steps(exps)):
         if fresh:
             step = ball_pow(base, fresh, prec)
             gap_power = ball_mul(gap_power, step, prec) if keep else step
         running = ball_mul(running, gap_power, prec)
-        prev, g_prev = e, g
         if am1 is None:
             target = running
         else:
@@ -608,14 +588,11 @@ def _roundings(exps) -> int:
     more plus one for the running product, since each multiply by it brings
     its error in again.
     """
-    count = gap_cost = prev = g_prev = 0
-    for e in exps:
-        g = e - prev
-        keep, fresh = _gap_split(g_prev, g)
+    count = gap_cost = 0
+    for keep, fresh in _steps(exps):
         if fresh:
             gap_cost = (gap_cost + 1 if keep else 0) + 2 * fresh.bit_length()
         count += gap_cost + 1
-        prev, g_prev = e, g
     return count
 
 

@@ -39,16 +39,17 @@ N2_VERIFY_CAP = 5000
 # Largest n_max and grid_size.  The exact condition (2) sampling of geomsum
 # costs O(n_max^2 * grid_size) rational powers of degree up to n_max^k; for
 # geomsum:k=2 on [1.5, 2] it took 0.3 s at the defaults (8, 64), 1.0 s at
-# (16, 64), 11 s at (32, 64), 1.8 s at (8, 1024) and 8-9 s at the caps
-# (20, 256) on a 2-CPU host.  n_max 20 is also families.FACTORIAL_CAP.
+# (16, 64), 11 s at (32, 64), 1.8 s at (8, 1024) and 8-12 s at the caps
+# (20, 256) on a 2-CPU host whose core speed drifts by 20-40% (8.1, 8.5 and
+# 10.2 s in one re-measurement).  n_max 20 is also families.FACTORIAL_CAP.
 N_MAX_CAP = 20
 GRID_SIZE_CAP = 256
 
 # Largest degree n_max^k + 1 that the exact geomsum condition (2) sampling
 # takes powers of.  On [1.5, 2] at grid 64 (256) it took 0.37 s (1.6 s) at
-# degree 513 (k=3, n_max 8), 0.97 s (7.0 s) at 1001 (k=3, n_max 10), 2.7 s
-# (27 s) at 1729 (k=3, n_max 12) and 8.3 s at 2745 (k=3, n_max 14), on a
-# 2-CPU host.  At 1025 no scan inside the caps takes longer than the 8 s
+# degree 513 (k=3, n_max 8), 0.97 s (5.4-7.7 s) at 1001 (k=3, n_max 10),
+# 2.7 s (27 s) at 1729 (k=3, n_max 12) and 8.3 s at 2745 (k=3, n_max 14), on
+# a 2-CPU host.  At 1025 no scan inside the caps takes longer than the 8-12 s
 # of k=2 at (20, 256).
 SAMPLED_DEGREE_CAP = 1025
 

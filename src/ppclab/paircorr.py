@@ -2,9 +2,10 @@
 
 Counting is exact: point values are rationals, so every comparison against the
 threshold s/N is decided by integer arithmetic on a common denominator
-lattice.  The production counter is an O(N log N) sorted two-pointer sweep;
-`naive_pair_count` keeps the O(N^2) enumeration available as an independent
-audit route, and the two must agree exactly on every input.
+lattice.  The production counter makes one bisection per point over the
+sorted lattice, O(N log N); `naive_pair_count` keeps the O(N^2) enumeration
+available as an independent audit route, and the two must agree exactly on
+every input.
 
 A point set may also be serialized to the plain-text `ppc-points v1` format:
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -58,83 +60,65 @@ def _as_fraction_s(s) -> Fraction:
     if s_frac <= 0:
         raise ValueError("s must be positive")
     try:
-        float(s_frac)
+        in_range = float(s_frac) > 0  # 0.0: s underflows the float range
     except OverflowError:
-        raise ValueError("s must be within the float range") from None
+        in_range = False
+    if not in_range:
+        raise ValueError("s must be within the float range")
     return s_frac
 
 
-def _blur_guard(points: Sequence[UnitPoint], s_frac: Fraction, N: int) -> None:
-    bound = s_frac / (100 * N)
-    worst = 0.0
-    for p in points:
-        if p.error > worst:
-            worst = p.error
-    if Fraction(worst) > bound:
-        raise TooBlurry(worst, float(bound))
-
-
 def _lattice(points: Sequence[UnitPoint]) -> tuple[list[int], int]:
-    # embed all values into Z/L for a common denominator L
+    # embed all values into Z/L for a common denominator L, sorted
     L = 1
     for p in points:
         L = math.lcm(L, p.value.denominator)
-    return [p.value.numerator * (L // p.value.denominator) for p in points], L
+    return sorted(p.value.numerator * (L // p.value.denominator)
+                  for p in points), L
 
 
-def pair_count(points: Sequence[UnitPoint], s) -> PairCorrelationResult:
-    """Ordered pairs (m != n) with circle distance <= s/N, ties included.
+def _counting_lattice(points: Sequence[UnitPoint],
+                      s) -> tuple[int, Fraction, list[int], int, int]:
+    """(N, s, us, L, T) of a pair count: the points as sorted numerators us
+    over their common denominator L, and the threshold T, with d/L <= s/N
+    exactly when d <= T for integer d.
 
-    Requires every point error <= s/(100*N) so point blur cannot move a pair
-    across the threshold undetected at the reported resolution.
+    Requires a nonempty point set, and every point error <= s/(100*N) so
+    point blur cannot move a pair across the threshold undetected at the
+    reported resolution.
     """
     N = len(points)
     if N < 1:
         raise ValueError("points must be nonempty")
     s_frac = _as_fraction_s(s)
-    _blur_guard(points, s_frac, N)
+    bound = s_frac / (100 * N)
+    worst = max(p.error for p in points)
+    if Fraction(worst) > bound:
+        raise TooBlurry(worst, float(bound))
+    us, L = _lattice(points)
+    T = (s_frac.numerator * L) // (s_frac.denominator * N)
+    return N, s_frac, us, L, T
+
+
+def pair_count(points: Sequence[UnitPoint], s) -> PairCorrelationResult:
+    """Ordered pairs (m != n) with circle distance <= s/N, ties included."""
+    N, s_frac, us, L, T = _counting_lattice(points, s)
     if 2 * s_frac >= N:
         # threshold >= 1/2: the window covers the whole circle
         count = N * (N - 1)
     else:
-        us, L = _lattice(points)
-        us.sort()
-        # d/L <= s/N  <=>  d <= floor(s*L/N) for integer d
-        T = (s_frac.numerator * L) // (s_frac.denominator * N)
-        count = _two_pointer_count(us, L, T)
+        # T < L/2, so a pair lies within T of each other going forward from
+        # exactly one of its points: count each point's forward neighbours,
+        # past the wrap through the copy shifted by L, and double the sum
+        ext = us + [u + L for u in us]
+        count = 2 * sum(bisect_right(ext, u + T, i + 1) - i - 1
+                        for i, u in enumerate(us))
     return PairCorrelationResult(N, float(s_frac), count, count / N)
-
-
-def _two_pointer_count(us: list[int], L: int, T: int) -> int:
-    N = len(us)
-    z = [u - L for u in us] + us + [u + L for u in us]
-    lo = 0
-    hi = 0
-    top = 3 * N
-    total = 0
-    for i in range(N, 2 * N):
-        c = z[i]
-        left = c - T
-        right = c + T
-        while z[lo] < left:
-            lo += 1
-        if hi < i:
-            hi = i
-        while hi + 1 < top and z[hi + 1] <= right:
-            hi += 1
-        total += hi - lo  # window size minus the center itself
-    return total
 
 
 def naive_pair_count(points: Sequence[UnitPoint], s) -> int:
     """O(N^2) reference count of the same ordered pairs, kept for audit."""
-    N = len(points)
-    if N < 1:
-        raise ValueError("points must be nonempty")
-    s_frac = _as_fraction_s(s)
-    _blur_guard(points, s_frac, N)
-    us, L = _lattice(points)
-    T = (s_frac.numerator * L) // (s_frac.denominator * N)
+    N, _, us, L, T = _counting_lattice(points, s)
     count = 0
     for i in range(N):
         ui = us[i]
@@ -152,11 +136,14 @@ def naive_pair_count(points: Sequence[UnitPoint], s) -> int:
 def check_resolution(s, delta, n_max: int) -> tuple[Fraction, Fraction]:
     """(s, delta) as Fractions, checked before any orbit up to n_max points.
 
-    Needs s > 0, delta in (0, 1/4), and delta <= s/(100*n_max), so that points
-    certified to delta pass the blur guard of every prefix pair count.
+    Needs s > 0 and delta in (0, 1/4), both with a nonzero float for the
+    artifact, and delta <= s/(100*n_max), so that points certified to delta
+    pass the blur guard of every prefix pair count.
     """
     s_frac = _as_fraction_s(s)
     delta_f = check_delta(delta)
+    if float(delta_f) == 0.0:
+        raise ValueError("delta must be within the float range")
     if delta_f > s_frac / (100 * n_max):
         raise ValueError(
             "delta %.3g too coarse for s %.3g at N=%d (need delta <= s/(100*N))"
@@ -186,7 +173,6 @@ def star_discrepancy(points: Sequence[UnitPoint]) -> DiscrepancyResult:
     if N < 1:
         raise ValueError("points must be nonempty")
     us, L = _lattice(points)
-    us.sort()
     worst = max(max(i * L - N * u, N * u - (i - 1) * L)
                 for i, u in enumerate(us, start=1))
     return DiscrepancyResult(N, float(Fraction(worst, N * L)))

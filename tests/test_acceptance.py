@@ -98,7 +98,7 @@ def test_criterion_2_pair_count_routes_agree_on_seeded_instances():
             mismatches += 1
     elapsed = time.time() - start
     ok = mismatches == 0 and elapsed < 10
-    _report(2, ok, "two-pointer vs naive mismatches = %d on 1000 instances "
+    _report(2, ok, "sorted count vs naive mismatches = %d on 1000 instances "
                    "(N <= 200, s in (0,5]), %.1fs < 10s"
             % (mismatches, elapsed))
 

@@ -511,6 +511,17 @@ def test_stdout_matches_file_output(tmp_path, capsys):
      "--s", "1", "--N", "5", "--K", "2", "--threads", "1"],
     ["measure", "--a", "1.5", "--b", "1e400", "--degree", "2",
      "--target-c", "0", "--target-d", "0.25"],
+    # a scale or delta whose float underflows to 0.0
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N", "5",
+     "--s", "1e-4000"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N-list", "5,6",
+     "--s", "1e-4000"],
+    ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--s", "1e-4000", "--N", "5", "--K", "2", "--threads", "1"],
+    ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--s", "1", "--delta", "1e-400", "--N", "5", "--K", "2", "--threads", "1"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N", "5",
+     "--s", "1", "--delta", "1e-400"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -554,6 +565,17 @@ def test_unwritable_out_names_the_flag(tmp_path, capsys):
      "--s", "1e400"],
     ["second-moment", "--family", "kronecker", "--a", "1.5", "--b", "1e400",
      "--s", "1", "--N", "5", "--K", "2", "--threads", "1"],
+    # a scale or delta whose float underflows to 0.0
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N", "5",
+     "--s", "1e-4000"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N-list", "5,6",
+     "--s", "1e-4000"],
+    ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--s", "1e-4000", "--N", "5", "--K", "2", "--threads", "1"],
+    ["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+     "--s", "1", "--delta", "1e-400", "--N", "5", "--K", "2", "--threads", "1"],
+    ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N", "5",
+     "--s", "1", "--delta", "1e-400"],
 ])
 def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
                                                        argv):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppclab import hpreal
+from ppclab.families import degree, orbit, parse_family
 from ppclab.hpreal import (
     Ball,
     ExactReal,
@@ -171,3 +172,48 @@ def test_mul_seam_is_the_exact_product(a, b, square):
     if square:
         b = a  # the same object, as in ball_pow's squarings
     assert hpreal._mul(a, b) == a * b
+
+
+# ---------------------------------------------------------------------------
+# production-size orbits against exact residues
+# ---------------------------------------------------------------------------
+
+def _low_power(m: int, d: int, bits: int) -> int:
+    """m^d mod 2^bits, by square-and-multiply on the multiply seam (checked
+    above to be the exact product), masked at every step."""
+    mask, r = (1 << bits) - 1, 1
+    for bit in bin(d)[2:]:
+        r = hpreal._mul(r, r) & mask
+        if bit == "1":
+            r = r * m & mask
+    return r
+
+
+def test_segment_ends_enclose_exact_values_at_production_scale():
+    """The first and last point of every segment of three production-size
+    orbits at dyadic alphas m/2^e, each against its exact residue."""
+    for spec, m, e, N in (("monomial:k=2", 193, 7, 1000),
+                          ("factorial", 7, 2, 10),
+                          ("geomsum:k=2", 195, 7, 300)):
+        family = parse_family(spec)
+        alpha = ExactReal.from_fraction(Fraction(m, 1 << e))
+        points = orbit(family, alpha, N, Fraction(1, 1 << 40)).points
+        geometric = family.kind == "geomsum"
+        # a geomsum point is the geometric walk's point at exponent d + 1
+        exps = [degree(family, n) + geometric for n in range(1, N + 1)]
+        segments = hpreal._segments(exps, alpha.upper_float())
+        assert len(segments) > 1
+        for i in sorted({i for start, stop in segments
+                         for i in (start, stop - 1)}):
+            d = exps[i]
+            if geometric:
+                # (alpha^d - 1)/(alpha - 1) = (m^d - 2^(ed)) / (c 2^k) with
+                # c = m - 2^e and k = e(d-1); reduce mod c 2^k in two parts
+                c, k = m - (1 << e), e * (d - 1)
+                top = m**d - (1 << (e * d))
+                num = ((top >> k) % c << k) | (top & ((1 << k) - 1))
+                den = c << k
+            else:
+                # frac(alpha^d) = (m^d mod 2^(ed)) / 2^(ed)
+                num, den = _low_power(m, d, e * d), 1 << (e * d)
+            assert _encloses(points[i], num, den), (spec, i + 1)

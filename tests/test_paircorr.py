@@ -53,6 +53,22 @@ def test_wraparound_distance():
     assert r.ordered_count == 2
 
 
+def test_grid_ties_at_the_threshold_and_across_the_wrap():
+    N = 8
+    grid = pts([Fraction(k, N) for k in range(N)])
+    cases = [
+        # s = 1: every neighbour sits exactly at s/N, 0 and 7/8 across 0
+        (1, 2 * N),
+        # 2s = N: the whole circle
+        (Fraction(N, 2), N * (N - 1)),
+        # 2s just below N: all but the antipodal pairs at distance 1/2
+        (Fraction(N, 2) - Fraction(1, 10**9), N * (N - 1) - N),
+    ]
+    for s, count in cases:
+        assert pair_count(grid, s).ordered_count == count
+        assert naive_pair_count(grid, s) == count
+
+
 def test_whole_circle_threshold():
     ps = pts([0.1, 0.4, 0.77])
     r = pair_count(ps, 2)  # s/N >= 1/2 covers everything
@@ -75,7 +91,7 @@ def test_validation():
         naive_pair_count(pts([0.1]), -1)
 
 
-def test_blur_guard():
+def test_too_blurry_points_are_refused():
     ps = pts([0.1, 0.2, 0.4], error=2e-3)  # bound is 0.3/300 = 1e-3
     with pytest.raises(TooBlurry):
         pair_count(ps, 0.3)
@@ -85,7 +101,7 @@ def test_blur_guard():
     assert pair_count(pts([0.1, 0.2, 0.4], error=2.0**-10), Fraction(3, 10)).N == 3
 
 
-def test_two_pointer_matches_naive_on_random_sets():
+def test_pair_count_matches_naive_on_random_sets():
     rng = random.Random(20260819)
     for _ in range(60):
         n = rng.randint(2, 60)
@@ -100,7 +116,7 @@ def test_two_pointer_matches_naive_on_random_sets():
         assert pair_count(ps, s).ordered_count == naive_pair_count(ps, s)
 
 
-def test_two_pointer_matches_naive_on_kronecker_orbit():
+def test_pair_count_matches_naive_on_kronecker_orbit():
     fam = parse_family("kronecker")
     alpha = parse_alpha("1.6180339887498948482", 128)
     orb = orbit(fam, alpha, 120, 2**-40)
