@@ -23,7 +23,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ppclab.hpreal import ExactReal, PrecisionOverflow, UnitPoint, check_delta, frac_walk
+from ppclab.hpreal import (ExactReal, PrecisionOverflow, UnitPoint, _mul, check_delta,
+                           frac_walk, int_pow)
 
 FACTORIAL_CAP = 20
 
@@ -160,9 +161,9 @@ class DifferenceMap:
     """g = f_{n2} - f_{n1} for a sequence family, with the degrees
     d1 = d_{n1} and d2 = d_{n2} derived once.
 
-    value is an exact Fraction and derivative is exact when x is a Fraction;
-    lead and derivative_over_lead are float forms scaled by x^d2, stable at
-    any degree.
+    over and slope_over give g(X/D) and g'(X/D) in integers, and value the
+    Fraction from over; derivative is g' in floats, and lead and
+    derivative_over_lead are float forms scaled by x^d2, stable at any degree.
     """
 
     family: SequenceFamily
@@ -181,21 +182,40 @@ class DifferenceMap:
         object.__setattr__(self, "d1", degree(self.family, self.n1))
         object.__setattr__(self, "d2", degree(self.family, self.n2))
 
-    def form(self, X: int, D: int) -> tuple[int, int]:
-        """g(X/D) as integers (num, den), den > 0 and not reduced, for
-        integers X > D > 0."""
-        d1, d2 = self.d1, self.d2
+    def over(self, D: int):
+        """(num, den) with g(X/D) = num(X)/den for integers X > D > 0, and
+        den = D^d2; the powers of D are taken once, here."""
+        d1, m = self.d1, self.d2 - self.d1
+        Dm = int_pow(D, m)
         if self.family.kind == "geomsum":
-            return (X ** (d2 + 1) - X ** (d1 + 1) * D ** (d2 - d1),
-                    D**d2 * (X - D))
-        return X**d2 - X**d1 * D ** (d2 - d1), D**d2
+            # g = x^(d1+1) + ... + x^d2, so (X - D) divides X^m - D^m
+            def num(X):
+                return _mul(int_pow(X, d1 + 1), (int_pow(X, m) - Dm) // (X - D))
+        else:
+            def num(X):
+                return _mul(int_pow(X, d1), int_pow(X, m) - Dm)
+        return num, int_pow(D, self.d2)
 
     def value(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        return Fraction(*self.form(x.numerator, x.denominator))
+        num, den = self.over(x.denominator)
+        return Fraction(num(x.numerator), den)
 
-    def derivative(self, x):
-        """g'(x).  Exact when x is a Fraction."""
+    def slope_over(self, D: int):
+        """(num, den) with g'(X/D) = num(X)/den(X) for integers X > D > 0 and
+        a geomsum family, whose (x - 1)^2 g' is, with m = d2 - d1,
+        x^d1 ((d2 + 1) x^m - (d1 + 1)) (x - 1) - x^(d1+1) (x^m - 1)."""
+        d1, d2, m = self.d1, self.d2, self.d2 - self.d1
+        Dm, Dd = int_pow(D, m), int_pow(D, d2 - 1)
+
+        def num(X):
+            Xm = int_pow(X, m)
+            s = ((d2 + 1) * Xm - (d1 + 1) * Dm) * (X - D) - X * (Xm - Dm)
+            return _mul(int_pow(X, d1), s)
+        return num, lambda X: _mul(Dd, int_pow(X - D, 2))
+
+    def derivative(self, x: float) -> float:
+        """g'(x), in floats."""
         d1, d2 = self.d1, self.d2
         if self.family.kind == "geomsum":
             b1, b2 = d1 + 1, d2 + 1

@@ -11,6 +11,7 @@ rounding modes, no library-version drift.
 Layers:
 
   _mul           -- the one exact multiply of mantissas (MUL_BACKEND names it)
+  int_pow        -- x^d of an int, by square-and-multiply over _mul
   ExactReal      -- canonical dyadic rational (odd mantissa * 2^exp)
   Ball           -- midpoint/radius enclosure at a given working precision
   UnitPoint      -- a point of [0,1) with a certified circle-metric error
@@ -368,6 +369,19 @@ def _select_mul():
 
 # the one multiply of mantissas, chosen once at import
 _mul, MUL_BACKEND = _select_mul()
+
+
+def int_pow(x: int, d: int) -> int:
+    """x^d, d >= 0, by square-and-multiply over _mul as in ball_pow; below
+    _GMP_LARGER_BITS bits, where _mul keeps to CPython's int, it is x ** d."""
+    if d * x.bit_length() < _GMP_LARGER_BITS:
+        return x**d
+    result = x
+    for i in range(d.bit_length() - 2, -1, -1):
+        result = _mul(result, result)
+        if (d >> i) & 1:
+            result = _mul(result, x)
+    return result
 
 
 # ---------------------------------------------------------------------------

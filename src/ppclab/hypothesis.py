@@ -37,20 +37,21 @@ SKIPPED = "skipped"
 N2_VERIFY_CAP = 5000
 
 # Largest n_max and grid_size.  The exact condition (2) sampling of geomsum
-# costs O(n_max^2 * grid_size) rational powers of degree up to n_max^k; for
-# geomsum:k=2 on [1.5, 2] it took 0.3 s at the defaults (8, 64), 1.0 s at
-# (16, 64), 11 s at (32, 64), 1.8 s at (8, 1024) and 8-12 s at the caps
-# (20, 256) on a 2-CPU host whose core speed drifts by 20-40% (8.1, 8.5 and
-# 10.2 s in one re-measurement).  n_max 20 is also families.FACTORIAL_CAP.
+# costs O(n_max^2 * grid_size) integer powers of degree up to n_max^k; for
+# geomsum:k=2 on [1.5, 2] the report took 0.10 s at the defaults (8, 64),
+# 0.14 s at (16, 64), 0.94 s at (32, 64), 0.22 s at (8, 1024) and 0.64 s at
+# the caps (20, 256), in-process on a 2-CPU host.  n_max 20 is also
+# families.FACTORIAL_CAP.
 N_MAX_CAP = 20
 GRID_SIZE_CAP = 256
 
 # Largest degree n_max^k + 1 that the exact geomsum condition (2) sampling
-# takes powers of.  On [1.5, 2] at grid 64 (256) it took 0.37 s (1.6 s) at
-# degree 513 (k=3, n_max 8), 0.97 s (5.4-7.7 s) at 1001 (k=3, n_max 10),
-# 2.7 s (27 s) at 1729 (k=3, n_max 12) and 8.3 s at 2745 (k=3, n_max 14), on
-# a 2-CPU host.  At 1025 no scan inside the caps takes longer than the 8-12 s
-# of k=2 at (20, 256).
+# takes powers of.  On [1.5, 2] at grid 64 (256) the report took 0.13 s
+# (0.21 s) at degree 513 (k=3, n_max 8), 0.18 s (0.42 s) at 1001 (k=3,
+# n_max 10), 0.26-0.32 s (1.0-1.3 s) at 1729 (k=3, n_max 12) and 0.55-0.65 s
+# at 2745 (k=3, n_max 14), in-process on a 2-CPU host.  At 1025 the slowest
+# scan inside the caps is k=2 at (20, 256), 0.58-0.64 s; k=1 at n_max 20,
+# k=3 at 10, k=4 at 5 and k=10 at 2 took 0.18-0.45 s at grid 256.
 SAMPLED_DEGREE_CAP = 1025
 
 # families whose differences are plain two-term monomial differences,
@@ -72,6 +73,21 @@ class IntervalSpec:
             float(self.b)
         except OverflowError:
             raise ValueError("b must be within the float range") from None
+
+    def float_a(self) -> float:
+        """float(a) for the float forms that divide by a - 1; an a that
+        rounds to 1.0 is rejected."""
+        a = float(self.a)
+        if not a > 1:
+            raise ValueError("a must exceed 1 as a float; it rounds to 1.0")
+        return a
+
+    def grid(self, n: int) -> tuple[list[int], int]:
+        """(xs, Q): the points a + i*(b - a)/n, i = 0..n, are x/Q."""
+        L = math.lcm(self.a.denominator, self.b.denominator)
+        A = self.a.numerator * (L // self.a.denominator)
+        B = self.b.numerator * (L // self.b.denominator)
+        return [A * n + i * (B - A) for i in range(n + 1)], L * n
 
 
 @dataclass(frozen=True)
@@ -98,20 +114,6 @@ class HypothesisReport:
     n2_verify_max: int
 
 
-def _float_a(interval: IntervalSpec) -> float:
-    """float(a) for conditions (3) to (5), which run in floats and divide by
-    a - 1; an a that rounds to 1.0 is rejected."""
-    a = float(interval.a)
-    if not a > 1:
-        raise ValueError("a must exceed 1 as a float; it rounds to 1.0")
-    return a
-
-
-def _grid(interval: IntervalSpec, grid_size: int) -> list[Fraction]:
-    step = (interval.b - interval.a) / (grid_size - 1)
-    return [interval.a + i * step for i in range(grid_size)]
-
-
 def _condition1(family: SequenceFamily, n_max: int) -> Verdict:
     """Degrees strictly increase up to n_max."""
     if family.kind == "kronecker":
@@ -133,27 +135,28 @@ def _condition2(family: SequenceFamily, interval: IntervalSpec,
             "certificate": "x^d2 - x^d1 with d2 > d1 >= 1 has positive first and "
                            "nonnegative second derivative on (1, inf)"
         })
-    # geomsum: sample exactly on the grid in rational arithmetic
-    xs = _grid(interval, grid_size)
-    tol = Fraction(1, 10**30)
+    # geomsum: sample exactly, in integers; a witness float is one division
+    xs, Q = interval.grid(grid_size - 1)
     for n1 in range(1, n_max):
         for n2 in range(n1 + 1, n_max + 1):
             g = DifferenceMap(family, n1, n2)
-            vals = [g.value(x) for x in xs]
-            scale = max(abs(v) for v in vals) or Fraction(1)
+            num, den = g.over(Q)
+            vals = [num(x) for x in xs]
+            scale = max(abs(v) for v in vals) or den
+            der_num, der_den = g.slope_over(Q)
             for x in xs:
-                der = g.derivative(x)
+                der = der_num(x)
                 if der <= 0:
                     return Verdict(FAILS, {
-                        "n1": n1, "n2": n2, "x": float(x),
-                        "derivative": float(der),
+                        "n1": n1, "n2": n2, "x": x / Q,
+                        "derivative": der / der_den(x),
                     })
             for i in range(1, len(vals) - 1):
                 second = vals[i - 1] - 2 * vals[i] + vals[i + 1]
-                if second < -tol * scale:
+                if 10**30 * second < -scale:  # below -1e-30 of the scale
                     return Verdict(FAILS, {
-                        "n1": n1, "n2": n2, "x": float(xs[i]),
-                        "second_difference": float(second),
+                        "n1": n1, "n2": n2, "x": xs[i] / Q,
+                        "second_difference": second / den,
                     })
     return Verdict(SAMPLED, {"grid_size": grid_size, "n_max": n_max})
 
@@ -174,7 +177,8 @@ def _constants(family: SequenceFamily, interval: IntervalSpec, a: float,
         cert = Verdict(HOLDS, {"certificate": "closed-form envelope "
                                               "1 - alpha^(d1-d2) in [1 - 1/a, 1)"})
         return cert, cert, (1.0 - 1.0 / a) / float(interval.b), a / (a - 1.0)
-    xs = [float(x) for x in _grid(interval, grid_size)]
+    grid, Q = interval.grid(grid_size - 1)
+    xs = [x / Q for x in grid]
     c_min = math.inf
     r_max = 1.0
     for n1 in range(1, n_max):
@@ -187,7 +191,12 @@ def _constants(family: SequenceFamily, interval: IntervalSpec, a: float,
                         "bound": "value", "n1": n1, "n2": n2, "x": x,
                         "ratio": ratio}), None, None
                 r_max = max(r_max, ratio, 1.0 / ratio)
-                der = g.derivative_over_lead(x)
+                try:
+                    der = g.derivative_over_lead(x)
+                except OverflowError:  # (x - 1)^2 past about 1.3e154
+                    raise PrecisionOverflow(
+                        "condition (3) at x = %r leaves the float range" % x
+                    ) from None
                 if der <= 0:
                     return Verdict(FAILS, {
                         "bound": "derivative", "n1": n1, "n2": n2, "x": x,
@@ -290,7 +299,7 @@ def check_hypotheses(family: SequenceFamily, interval: IntervalSpec,
     All four scan bounds, the sampled geomsum degree and float(a) > 1 are
     checked here, before condition (1) runs; the condition steps trust them.
     """
-    a = _float_a(interval)
+    a = interval.float_a()
     if not 2 <= n_max <= N_MAX_CAP:
         raise ValueError("n_max must be in [2, %d], got %d" % (N_MAX_CAP, n_max))
     if not 3 <= grid_size <= GRID_SIZE_CAP:

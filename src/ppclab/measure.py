@@ -2,14 +2,14 @@
 
 The measure is assembled per integer level M: the target interval shifted by
 M is intersected with [g(a), g(b)] and pulled back through g by bisection.
-All function values and comparisons are exact: the bisection runs on integers
-over one common denominator, and g(a), g(b) are Fractions, so the only error
-is the final bisection bracket width, which is budgeted as tol/(levels+1) per
-endpoint.  The maps g are PowerMap (alpha^d) and families.DifferenceMap
-(f_{n2} - f_{n1}).  Each gives form(X, D), the integers (num, den) with
-g(X/D) = num/den, value(x) (the exact Fraction built from form),
-derivative(x) (float) and lead(x), the pair (d, g(x)/x^d) from which the
-level cap is checked in floats before any exact value.
+All function values and comparisons are exact integers: g(a), g(b) are
+numerators over one denominator and the bisection runs over one common D, so
+the only error is the final bisection bracket width, which is budgeted as
+tol/(levels+1) per endpoint.  The maps g are PowerMap (alpha^d) and
+families.DifferenceMap (f_{n2} - f_{n1}).  Each gives over(D), the pair
+(num, den) with g(X/D) = num(X)/den, value(x) (the exact Fraction built from
+over), derivative(x) (float) and lead(x), the pair (d, g(x)/x^d) from which
+the level cap is checked in floats before any exact value.
 
 Degrees are capped through the level count (about g(b) levels), so the exact
 route is a desk-scale instrument; large-degree behavior is reached through
@@ -23,15 +23,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ppclab.families import DifferenceMap
+from ppclab.hpreal import int_pow
 from ppclab.hypothesis import IntervalSpec
 
 _LEVEL_CAP = 10**6
 _MAX_TOL = Fraction(1, 10**6)
 # Finest tol: each halving adds one exact bisection step.  The linpow n1=3
-# n2=12 measure on [1.5, 1.6] took 0.055 s at the default 1e-9, 0.14 s at
-# 1e-30 and 2.0 s at 1e-100 (2-CPU host, Python 3.11).  Results are
-# floats of about 17 digits, so a finer tol adds nothing; below about 1e-308
-# the iteration count's float log2 would overflow.
+# n2=12 measure on [1.5, 1.6] took 0.03 s at the default 1e-9, 0.07 s at
+# 1e-30 and 1.0 s at 1e-100 (in-process, 2-CPU host, Python 3.11).  Results
+# are floats of about 17 digits, so a finer tol adds nothing; below about
+# 1e-308 the iteration count's float log2 would overflow.
 _MIN_TOL = Fraction(1, 10**30)
 
 
@@ -116,13 +117,15 @@ class PowerMap:
         if self.d < 1:
             raise ValueError("exponent must be >= 1")
 
-    def form(self, X: int, D: int) -> tuple[int, int]:
-        """g(X/D) as integers (num, den), den > 0 and not reduced."""
-        return X**self.d, D**self.d
+    def over(self, D: int):
+        """(num, den) with g(X/D) = num(X)/den = X^d/D^d for integers X, D."""
+        d = self.d
+        return (lambda X: int_pow(X, d)), int_pow(D, d)
 
     def value(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        return Fraction(*self.form(x.numerator, x.denominator))
+        num, den = self.over(x.denominator)
+        return Fraction(num(x.numerator), den)
 
     def derivative(self, x: float) -> float:
         return self.d * x ** (self.d - 1)
@@ -164,13 +167,17 @@ def _log_rise(g: PowerMap | DifferenceMap, interval: IntervalSpec) -> float:
 
 
 def _checked_range(g: PowerMap | DifferenceMap,
-                   interval: IntervalSpec) -> tuple[Fraction, Fraction]:
-    """(g(a), g(b)) once g is increasing and the level count within the cap.
+                   interval: IntervalSpec) -> tuple[int, int, int]:
+    """(ga, gb, den), with g(a) = ga/den and g(b) = gb/den, once g is
+    increasing and the level count within the cap.
 
     The float estimate of g(b) - g(a) rejects far-off degrees before any
     exact power; its factor-2 margin covers float rounding, and nearer the
-    cap the exact level count decides.
+    cap the exact level count decides.  A geomsum difference's float form
+    divides by a - 1, so its a must exceed 1 as a float.
     """
+    if isinstance(g, DifferenceMap) and g.family.kind == "geomsum":
+        interval.float_a()
     rise = _log_rise(g, interval)
     if rise > math.log(2 * _LEVEL_CAP):
         count = ("beyond the float range" if math.isinf(rise)
@@ -178,38 +185,39 @@ def _checked_range(g: PowerMap | DifferenceMap,
         raise LevelCapExceeded(
             "level count %s exceeds cap %d; use the statistic route for "
             "large degrees" % (count, _LEVEL_CAP))
-    ga = g.value(interval.a)
-    gb = g.value(interval.b)
-    mid = g.value((interval.a + interval.b) / 2)
+    xs, D0 = interval.grid(2)
+    num, den = g.over(D0)
+    ga, mid, gb = map(num, xs)
     if not ga < mid < gb:
         raise NonMonotone("g is not increasing across [a, b]")
-    if math.ceil(gb) - math.floor(ga) > _LEVEL_CAP:
+    if -(-gb // den) - ga // den > _LEVEL_CAP:
         raise LevelCapExceeded(
             "level count exceeds cap %d; use the statistic route for large "
             "degrees" % _LEVEL_CAP)
-    return ga, gb
+    return ga, gb, den
 
 
-def _invert(g: PowerMap | DifferenceMap, lo: Fraction, hi: Fraction,
-            y: Fraction, iters: int) -> Fraction:
-    """Point x in [lo, hi] with |x - g^/-1(y)| <= (hi-lo) * 2^-(iters+1).
+def _inverse(g: PowerMap | DifferenceMap, interval: IntervalSpec, iters: int):
+    """y -> x in [a, b] with |x - g^-1(y)| <= (b - a) * 2^-(iters+1).
 
     Every midpoint of the bisection is X/D over one common denominator
-    D = lcm(den lo, den hi) * 2^iters, so the steps run on integers: the
-    bracket is [X, X + h] in units of 1/D, and g(X/D) = num/den < y is
-    compared exactly as y.den * num < y.num * den.
+    D = L * 2^iters (a = A/L, b = B/L), so over(D) runs once, here, and the
+    steps run on integers: the bracket is [X, X + h] in units of 1/D, and
+    g(X/D) = num(X)/den < y is compared exactly as y.den * num(X) < y.num * den.
     """
-    D = math.lcm(lo.denominator, hi.denominator)
-    X = (lo.numerator * (D // lo.denominator)) << iters
-    h = ((hi.numerator * (D // hi.denominator)) << iters) - X
-    D <<= iters
-    y_num, y_den = y.numerator, y.denominator
-    for _ in range(iters):
-        h >>= 1
-        num, den = g.form(X + h, D)
-        if y_den * num < y_num * den:
-            X += h
-    return Fraction(2 * X + h, 2 * D)
+    (A, B), L = interval.grid(1)
+    D = L << iters
+    num, den = g.over(D)
+
+    def invert(y: Fraction) -> Fraction:
+        X, h = A << iters, (B - A) << iters
+        y_num, y_den = y.numerator, y.denominator
+        for _ in range(iters):
+            h >>= 1
+            if y_den * num(X + h) < y_num * den:
+                X += h
+        return Fraction(2 * X + h, 2 * D)
+    return invert
 
 
 def _iterations(interval: IntervalSpec, levels: int, tol: Fraction) -> int:
@@ -218,38 +226,26 @@ def _iterations(interval: IntervalSpec, levels: int, tol: Fraction) -> int:
     return max(60, math.ceil(math.log2(need)))
 
 
-def _band_preimage(g: PowerMap | DifferenceMap, interval: IntervalSpec,
-                   ga: Fraction, gb: Fraction, ylo: Fraction, yhi: Fraction,
-                   iters: int) -> tuple[Fraction, Fraction] | None:
-    lo = max(ylo, ga)
-    hi = min(yhi, gb)
-    if lo > hi:
-        return None
-    x_lo = interval.a if lo <= ga else _invert(g, interval.a, interval.b, lo, iters)
-    x_hi = interval.b if hi >= gb else _invert(g, interval.a, interval.b, hi, iters)
-    if x_hi < x_lo:
-        # bisection jitter on a near-degenerate band
-        x_hi = x_lo
-    return x_lo, x_hi
-
-
 def level_set_measure(g: PowerMap | DifferenceMap, interval: IntervalSpec,
                       target: CircleInterval, tol) -> MeasureResult:
     """Lebesgue measure of {alpha: fractional part of g(alpha) in target}."""
     tol_frac = _validate_tol(tol)
-    ga, gb = _checked_range(g, interval)
-    m_lo = math.floor(ga)
-    m_hi = math.ceil(gb)
+    ga, gb, den = _checked_range(g, interval)
+    m_lo, m_hi = ga // den, -(-gb // den)
     levels = m_hi - m_lo
-    iters = _iterations(interval, levels, tol_frac)
+    invert = _inverse(g, interval, _iterations(interval, levels, tol_frac))
     intervals: list[PreimageInterval] = []
     total = Fraction(0)
     for M in range(m_lo, m_hi + 1):
         for c, d in target.pieces():
-            got = _band_preimage(g, interval, ga, gb, M + c, M + d, iters)
-            if got is None:
+            # the band against [g(a), g(b)] = [ga, gb]/den, cross-multiplied
+            ylo, yhi = M + c, M + d
+            lo, hi = ylo.numerator * den, yhi.numerator * den
+            if lo > gb * ylo.denominator or hi < ga * yhi.denominator:
                 continue
-            x_lo, x_hi = got
+            x_lo = interval.a if lo <= ga * ylo.denominator else invert(ylo)
+            x_hi = interval.b if hi >= gb * yhi.denominator else invert(yhi)
+            x_hi = max(x_hi, x_lo)  # bisection jitter on a near-degenerate band
             total += x_hi - x_lo
             intervals.append(PreimageInterval(M, float(x_lo), float(x_hi)))
     width = interval.b - interval.a

@@ -254,6 +254,24 @@ def test_measure_level_cap_is_numeric_failure(capsys):
         assert json.loads(lines[0])["error"] == "numeric"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "geomsum:k=2", "--a", "1.5", "--b", "1e300"],
+    ["--family", "geomsum:k=2", "--a", "1.5", "--b", "1e160"],
+    ["--family", "geomsum:k=1", "--a", "1.5", "--b", "1e300",
+     "--grid-size", "3"],
+])
+def test_hypothesis_past_the_float_square_is_precision_failure(capsys, argv):
+    # condition (3)'s float form squares x - 1, which overflows past about
+    # 1.3e154
+    code, out, err = run(capsys, "hypothesis", *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "precision"
+    assert doc["detail"].startswith("condition (3) at x = ")
+
+
 # ---------------------------------------------------------------------------
 # second-moment
 # ---------------------------------------------------------------------------
@@ -522,6 +540,11 @@ def test_stdout_matches_file_output(tmp_path, capsys):
      "--s", "1", "--delta", "1e-400", "--N", "5", "--K", "2", "--threads", "1"],
     ["paircorr", "--family", "linpow", "--alpha", "1.5", "--N", "5",
      "--s", "1", "--delta", "1e-400"],
+    # a geomsum difference, whose float form divides by a - 1, at an a that
+    # rounds to 1.0
+    ["measure", "--family", "geomsum:k=1", "--n1", "1", "--n2", "2",
+     "--a", "1.0000000000000001", "--b", "1.1", "--target-c", "0",
+     "--target-d", "0.5"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -508,6 +508,19 @@ def test_diff_derivative_finite_difference_oracle():
             assert g.derivative(x) == pytest.approx(want, rel=1e-6)
 
 
+def test_geomsum_slope_over_is_the_exact_derivative():
+    # g' = sum of j x^(j-1) for j = d1+1 .. d2, over a reduced and a scaled
+    # denominator
+    for n1, n2 in ((1, 2), (2, 3), (1, 4)):
+        g = DifferenceMap(GEO2, n1, n2)
+        for x in (Fraction(3, 2), Fraction(11, 10), Fraction(123457, 65536)):
+            want = sum(j * x ** (j - 1) for j in range(g.d1 + 1, g.d2 + 1))
+            for s in (1, 6):
+                num, den = g.slope_over(s * x.denominator)
+                X = s * x.numerator
+                assert Fraction(num(X), den(X)) == want, (n1, n2, x, s)
+
+
 def test_scaled_forms_match_raw_ratios():
     for fam, n1, n2 in ((MON2, 1, 3), (GEO2, 2, 4), (LIN, 5, 11), (FACT, 2, 5)):
         g = DifferenceMap(fam, n1, n2)

@@ -1,13 +1,15 @@
-"""Golden bytes: the sha256 of nineteen reference artifacts, frozen.
+"""Golden bytes: the sha256 of twenty-two reference artifacts, frozen.
 
 A change that keeps these digests keeps every byte the CLI writes for them:
 orbit points, statistics, reports and the embedded replay config.  The first
 eight commands are criterion 9's battery; the rest add the geomsum and
-factorial walks, both pair-correlation schemas, a linpow second-moment series
-and two difference-map level-set measures, the second on geomsum, whose
-integer form carries the (alpha - 1) denominator.  A change that moves the
-arithmetic on purpose must show that every point agrees within the certified
-errors before it updates a digest here.
+factorial walks, both pair-correlation schemas, a linpow second-moment series,
+difference-map level-set measures (linpow, and geomsum, whose numerator is
+divided exactly by X - D, on an arc and on a wrap target), the geomsum and
+other hypothesis reports, and a degree-20000 measure near 1, whose exact
+powers run on the multiply seam.  A change that moves the arithmetic on
+purpose must show that every point agrees within the certified errors before
+it updates a digest here.
 """
 
 import hashlib
@@ -110,6 +112,21 @@ ARTIFACTS = [
         ["hypothesis", "--family", "kronecker", "--a", "1.5", "--b", "2"],
         "cbce270272861950c62cc48e837a631b623bebd2a5bdc4fa5b26205543dc1b30",
         id="hypothesis-kronecker"),
+    pytest.param(
+        ["measure", "--a", "1.0000001", "--b", "1.0000002", "--degree",
+         "20000", "--target-c", "0", "--target-d", "0.25"],
+        "c721a53d891d4f082a598de43d841f10212f481f14f732d3b2d618ccb04146c2",
+        id="measure-near-one"),
+    pytest.param(
+        ["measure", "--family", "geomsum:k=2", "--n1", "1", "--n2", "2",
+         "--a", "1.5", "--b", "2", "--target-c", "0.75", "--target-d", "0.25",
+         "--wrap"],
+        "5b978f7a248a2de2ebf266c743703f9326c9a267b01b17a49d674166a5dec117",
+        id="measure-geomsum-wrap"),
+    pytest.param(
+        ["hypothesis", "--family", "geomsum:k=3", "--a", "1.5", "--b", "2"],
+        "9a19a913bca101d0a16dd8d51d7cb49524b14e6296ac2b54892b7023216679dd",
+        id="hypothesis-geomsum-k3"),
 ]
 
 

@@ -343,3 +343,26 @@ def test_mul_seam_falls_back_to_int_without_libgmp(monkeypatch):
     mul, backend = hpreal._select_mul()
     assert mul is operator.mul
     assert backend == "python int"
+
+
+@pytest.mark.parametrize("mul", [hpreal._mul, operator.mul],
+                         ids=["seam", "python-int"])
+def test_int_pow_is_the_power_on_both_sides_of_the_threshold(monkeypatch,
+                                                              mul):
+    # below _GMP_LARGER_BITS the power is CPython's; from it on, every
+    # product goes through the multiply seam
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(hpreal, "_mul", counted)
+    T = hpreal._GMP_LARGER_BITS
+    for x in (193, -193, 2**61 - 1, 3**2000):
+        bits = x.bit_length()
+        for d in (0, 1, 2, T // bits - 1, T // bits, T // bits + 1,
+                  3 * T // bits + 5):
+            calls.clear()
+            assert hpreal.int_pow(x, d) == x**d, (x, d)
+            assert bool(calls) == (d * bits >= T), (x, d)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ppclab import hypothesis
 from ppclab.families import DifferenceMap, degree, parse_family
 from ppclab.hpreal import PrecisionOverflow
 from ppclab.hypothesis import (
@@ -62,6 +63,45 @@ def test_condition2():
     v = _condition2(parse_family("geomsum:k=2"), AB, 8, 64)
     assert v.status == SAMPLED
     assert v.witness == {"grid_size": 64, "n_max": 8}
+
+
+class _ConcaveStub:
+    """Exact forms over Q of g(x) = -x^3/3, concave, with g'(x) = x/3."""
+
+    def __init__(self, family, n1, n2):
+        pass
+
+    def over(self, Q):
+        return (lambda X: -X**3), 3 * Q**3
+
+    def slope_over(self, Q):
+        return (lambda X: X), (lambda X: 3 * Q)
+
+
+class _FallingStub(_ConcaveStub):
+    """g'(x) = -7x/3, negative on the grid."""
+
+    def slope_over(self, Q):
+        return (lambda X: -7 * X), (lambda X: 3 * Q)
+
+
+def test_condition2_fails_with_the_floats_of_exact_values(monkeypatch):
+    # stub maps force both fails branches; each witness float must be
+    # float() of the exact Fraction at the grid point
+    iv = IntervalSpec(Fraction(11, 10), Fraction(13, 7))
+    xs = [iv.a + i * (iv.b - iv.a) / 4 for i in range(5)]
+    geo = parse_family("geomsum:k=2")
+    monkeypatch.setattr(hypothesis, "DifferenceMap", _FallingStub)
+    v = _condition2(geo, iv, 2, 5)
+    assert v.status == FAILS
+    assert v.witness == {"n1": 1, "n2": 2, "x": float(xs[0]),
+                         "derivative": float(-7 * xs[0] / 3)}
+    monkeypatch.setattr(hypothesis, "DifferenceMap", _ConcaveStub)
+    v = _condition2(geo, iv, 2, 5)
+    g = [-x**3 / 3 for x in xs]
+    assert v.status == FAILS
+    assert v.witness == {"n1": 1, "n2": 2, "x": float(xs[1]),
+                         "second_difference": float(g[0] - 2 * g[1] + g[2])}
 
 
 # ---------------------------------------------------------------------------

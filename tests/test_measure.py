@@ -13,7 +13,7 @@ from ppclab.measure import (
     LevelCapExceeded,
     NonMonotone,
     PowerMap,
-    _invert,
+    _inverse,
     lemma_bounds_check,
     level_set_measure,
     measure_to_json,
@@ -165,7 +165,7 @@ EQUIV_INTERVALS = (AB, IntervalSpec(Fraction(3, 2), Fraction(7, 4)))
 
 
 def _fraction_invert(g, lo, hi, y, iters):
-    """The bisection on Fractions, step for step as _invert decides."""
+    """The bisection on Fractions, step for step as _inverse decides."""
     for _ in range(iters):
         mid = (lo + hi) / 2
         if g.value(mid) < y:
@@ -186,8 +186,9 @@ def test_integer_bisection_matches_fraction_bisection(g):
         # values at bisection midpoints, where a step compares equal
         ys += [g.value(a + (b - a) * t) for t in (Fraction(1, 2), Fraction(3, 8))]
         for iters in (60, 100):
+            invert = _inverse(g, interval, iters)
             for y in ys:
-                got = _invert(g, a, b, y, iters)
+                got = invert(y)
                 assert got == _fraction_invert(g, a, b, y, iters), (y, iters)
                 assert type(got) is Fraction
 
@@ -196,9 +197,15 @@ GRID = (Fraction(11, 10), Fraction(3, 2), Fraction(123457, 65536),
         Fraction(7, 3))
 
 
+def _over(g, X, D):
+    """g(X/D) from g.over(D), as a Fraction."""
+    num, den = g.over(D)
+    return Fraction(num(X), den)
+
+
 def test_power_map_form_is_the_power():
     for x in GRID:
-        assert Fraction(*PowerMap(7).form(x.numerator, x.denominator)) == x**7
+        assert _over(PowerMap(7), x.numerator, x.denominator) == x**7
         assert PowerMap(7).value(x) == x**7
 
 
@@ -213,13 +220,12 @@ def _direct_difference(g, x):
 @pytest.mark.parametrize("g", EQUIV_MAPS[1:], ids=EQUIV_IDS[1:])
 def test_integer_form_is_the_difference_value(g):
     for x in GRID:
-        num, den = g.form(x.numerator, x.denominator)
+        num, den = g.over(x.denominator)
         assert den > 0
-        assert Fraction(num, den) == _direct_difference(g, x)
+        assert Fraction(num(x.numerator), den) == _direct_difference(g, x)
         assert g.value(x) == _direct_difference(g, x)
         # the same point over a scaled denominator gives the same value
-        num, den = g.form(6 * x.numerator, 6 * x.denominator)
-        assert Fraction(num, den) == g.value(x)
+        assert _over(g, 6 * x.numerator, 6 * x.denominator) == g.value(x)
 
 
 def test_difference_map_derives_its_degrees_once(monkeypatch):
@@ -287,11 +293,11 @@ def test_level_cap():
 
 
 def test_level_cap_rejects_far_degrees_before_exact_powers(monkeypatch):
-    def never(self, x):
+    def never(self, D):
         raise AssertionError("exact value computed past the cap")
 
-    monkeypatch.setattr(PowerMap, "value", never)
-    monkeypatch.setattr(DifferenceMap, "value", never)
+    monkeypatch.setattr(PowerMap, "over", never)
+    monkeypatch.setattr(DifferenceMap, "over", never)
     target = CircleInterval.arc(0, Fraction(1, 4))
     far = (PowerMap(56000), PowerMap(10**9), PowerMap(2**2000),
            DifferenceMap(parse_family("monomial:k=30"), 1, 2),
@@ -303,8 +309,8 @@ def test_level_cap_rejects_far_degrees_before_exact_powers(monkeypatch):
 
 
 class _Decreasing:
-    def value(self, x):
-        return 2 - Fraction(x)
+    def over(self, D):
+        return (lambda X: 2 * D - X), D
 
     def derivative(self, x):
         return -1.0
