@@ -4,7 +4,10 @@ Six subcommands: `orbit` writes certified point files, `paircorr` and
 `discrepancy` evaluate statistics on orbits or saved point sets, `hypothesis`
 runs the growth/convexity condition checks, `measure` verifies level-set
 measures, and `second-moment` sweeps the variance of the pair-correlation
-statistic over an alpha interval.
+statistic over an alpha interval.  `paircorr` has one route to an orbit's
+pair counts for --N and --N-list alike, paircorr.ppc_curve, which applies
+paircorr's resolution policy (the default delta, the blur bound); the points
+of an --in file go straight to paircorr.pair_count.
 
 Exit codes: 0 success, 1 usage error (single machine-readable line on stderr
 before any computation), 2 numeric or precision failure.  Every input rule
@@ -44,7 +47,8 @@ import sys
 from fractions import Fraction
 
 from ppclab import __version__
-from ppclab.families import DifferenceMap, orbit, parse_family
+from ppclab.families import (DifferenceMap, IntervalSpec, PowerMap, orbit,
+                             parse_family)
 from ppclab.hpreal import (
     ALPHA_BITS,
     MUL_BACKEND,
@@ -53,18 +57,17 @@ from ppclab.hpreal import (
     check_literal,
     parse_alpha,
 )
-from ppclab.hypothesis import IntervalSpec, check_hypotheses, report_to_json
+from ppclab.hypothesis import check_hypotheses, report_to_json
 from ppclab.measure import (
     CircleInterval,
     LevelCapExceeded,
     NonMonotone,
-    PowerMap,
     level_set_measure,
     measure_to_json,
 )
 from ppclab.paircorr import (
     TooBlurry,
-    check_resolution,
+    default_delta,
     pair_count,
     points_text,
     ppc_curve,
@@ -75,7 +78,6 @@ from ppclab.secondmoment import (
     QuadratureSpec,
     WorkerFailed,
     decay_fit,
-    default_delta,
     second_moment_series,
     series_to_csv,
     series_to_json,
@@ -146,33 +148,30 @@ def _json_payload(doc: dict, ns) -> str:
     return json.dumps(dict(doc, config=_config(ns)), indent=2) + "\n"
 
 
-def _statistic_csv(rows) -> str:
-    """The `N,statistic` CSV of paircorr, one row per (N, statistic)."""
-    return "".join(["N,statistic\n"] + ["%d,%r\n" % row for row in rows])
-
-
 def _delta(ns, s: Fraction | None, n_max: int) -> Fraction:
-    """--delta's value; by default default_delta(s, n_max), 2^-40 or finer
-    for a pair statistic at scale s, whose text goes into ns.delta so that
-    the replay block records it."""
+    """--delta's value; by default paircorr.default_delta(s, n_max), 2^-40
+    or finer for a pair statistic at scale s, whose text goes into ns.delta
+    so that the replay block records it."""
     if ns.delta is None:
         ns.delta = str(default_delta(s, n_max))
     return _frac(ns.delta, "--delta")
 
 
 def _family_alpha(ns):
+    """--family and --alpha as values, once they and --N (or paircorr's
+    --N-list) are given."""
     if ns.family is None or ns.alpha is None:
         raise _UsageError("need --family and --alpha (or --in FILE)")
-    return parse_family(ns.family), parse_alpha(ns.alpha, ALPHA_BITS)
+    family, alpha = parse_family(ns.family), parse_alpha(ns.alpha, ALPHA_BITS)
+    if ns.N is None and getattr(ns, "N_list", None) is None:
+        raise _UsageError("need --N (or --in FILE)")
+    return family, alpha
 
 
-def _points(ns, s: Fraction | None = None) -> list:
-    """The points a command runs on.
-
-    They are read from --in, which replaces the family flags, or walked as
-    the orbit --family/--alpha/--N/--delta describe; with a scale s, delta
-    must also pass the blur bound at N.
-    """
+def _points(ns) -> list:
+    """The points a command runs on: read from --in, which replaces the
+    family flags, or walked as the orbit --family/--alpha/--N/--delta
+    describe."""
     path = getattr(ns, "in", None)  # orbit takes no --in
     if path is not None:
         if any(getattr(ns, key, None) is not None
@@ -184,12 +183,7 @@ def _points(ns, s: Fraction | None = None) -> list:
         except OSError as exc:
             raise _UsageError("--in: %s" % exc) from None
     family, alpha = _family_alpha(ns)
-    if ns.N is None:
-        raise _UsageError("need --N (or --in FILE)")
-    delta = _delta(ns, s, ns.N)
-    if s is not None:
-        check_resolution(s, delta, ns.N)
-    return orbit(family, alpha, ns.N, delta).points
+    return orbit(family, alpha, ns.N, _delta(ns, None, ns.N)).points
 
 
 # ---------------------------------------------------------------- subcommands
@@ -202,32 +196,31 @@ def _cmd_orbit(ns) -> str:
 
 def _cmd_paircorr(ns) -> str:
     s = _frac(ns.s, "--s")
-    if getattr(ns, "in") is None and ns.N_list is not None:
-        return _paircorr_curve(ns, s)
-    res = pair_count(_points(ns, s), s)
+    if getattr(ns, "in") is not None:
+        results = [pair_count(_points(ns), s)]
+    else:
+        if ns.N is not None and ns.N_list is not None:
+            raise _UsageError("need exactly one of --N or --N-list")
+        family, alpha = _family_alpha(ns)
+        n_list = ns.N_list or (ns.N,)
+        results = ppc_curve(family, alpha, s, n_list,
+                            _delta(ns, s, max(n_list)))
     if ns.format == "csv":
-        return _statistic_csv([(res.N, res.statistic)])
-    return _json_payload({
-        "schema": "paircorr-result v1",
-        "N": res.N,
-        "s": float(res.s),
-        "ordered_count": res.ordered_count,
-        "statistic": res.statistic,
-    }, ns)
-
-
-def _paircorr_curve(ns, s: Fraction) -> str:
-    if ns.N is not None:
-        raise _UsageError("need exactly one of --N or --N-list")
-    family, alpha = _family_alpha(ns)
-    delta = _delta(ns, s, max(ns.N_list))
-    curve = ppc_curve(family, alpha, s, list(ns.N_list), delta)
-    if ns.format == "csv":
-        return _statistic_csv(curve)
+        return "".join(["N,statistic\n"] + ["%d,%r\n" % (r.N, r.statistic)
+                                             for r in results])
+    if ns.N_list is None:
+        res, = results
+        return _json_payload({
+            "schema": "paircorr-result v1",
+            "N": res.N,
+            "s": res.s,
+            "ordered_count": res.ordered_count,
+            "statistic": res.statistic,
+        }, ns)
     return _json_payload({
         "schema": "paircorr-curve v1",
         "s": float(s),
-        "entries": [{"N": n, "statistic": stat} for n, stat in curve],
+        "entries": [{"N": r.N, "statistic": r.statistic} for r in results],
     }, ns)
 
 

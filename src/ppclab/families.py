@@ -12,8 +12,13 @@ A family only supplies the exponents; the certified walk over them, and its
 precision plan, is hpreal.frac_walk, so every emitted point carries a
 certified error bound.
 
-DifferenceMap is the difference g = f_{n2} - f_{n1} of two members, the map
-whose growth hypothesis checks and whose level sets measure inverts.
+The maps g whose growth hypothesis checks and whose level sets measure
+inverts live here too, with the interval [a, b] they are studied on
+(IntervalSpec): PowerMap (alpha^d) and DifferenceMap (f_{n2} - f_{n1}).  Each
+map gives over(D), the pair (num, den) with g(X/D) = num(X)/den for integers
+X > D > 0, value(x) (the exact Fraction built from over), derivative(x)
+(float) and lead(x), the pair (d, g(x)/x^d) from which a float estimate is
+made before any exact value.
 """
 
 from __future__ import annotations
@@ -152,8 +157,67 @@ def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
 
 
 # ---------------------------------------------------------------------------
-# family differences g = f_{n2} - f_{n1}: raw values and stable scaled forms
+# the interval [a, b] and the maps g on it
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IntervalSpec:
+    a: Fraction
+    b: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", Fraction(self.a))
+        object.__setattr__(self, "b", Fraction(self.b))
+        if not 1 < self.a < self.b:
+            raise ValueError("need 1 < a < b, got [%s, %s]" % (self.a, self.b))
+        try:
+            float(self.b)
+        except OverflowError:
+            raise ValueError("b must be within the float range") from None
+
+    def float_a(self) -> float:
+        """float(a) for the float forms that divide by a - 1; an a that
+        rounds to 1.0 is rejected."""
+        a = float(self.a)
+        if not a > 1:
+            raise ValueError("a must exceed 1 as a float; it rounds to 1.0")
+        return a
+
+    def grid(self, n: int) -> tuple[list[int], int]:
+        """(xs, Q): the points a + i*(b - a)/n, i = 0..n, are x/Q."""
+        L = math.lcm(self.a.denominator, self.b.denominator)
+        A = self.a.numerator * (L // self.a.denominator)
+        B = self.b.numerator * (L // self.b.denominator)
+        return [A * n + i * (B - A) for i in range(n + 1)], L * n
+
+
+@dataclass(frozen=True)
+class PowerMap:
+    """g(alpha) = alpha^d."""
+
+    d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("exponent must be >= 1")
+
+    def over(self, D: int):
+        """(num, den) with g(X/D) = num(X)/den = X^d/D^d for integers X, D."""
+        d = self.d
+        return (lambda X: int_pow(X, d)), int_pow(D, d)
+
+    def value(self, x: Fraction) -> Fraction:
+        x = Fraction(x)
+        num, den = self.over(x.denominator)
+        return Fraction(num(x.numerator), den)
+
+    def derivative(self, x: float) -> float:
+        return self.d * x ** (self.d - 1)
+
+    def lead(self, x: float) -> tuple[int, float]:
+        """(d, g(x)/x^d), the log form used before any exact power."""
+        return self.d, 1.0
 
 
 @dataclass(frozen=True)
@@ -161,9 +225,9 @@ class DifferenceMap:
     """g = f_{n2} - f_{n1} for a sequence family, with the degrees
     d1 = d_{n1} and d2 = d_{n2} derived once.
 
-    over and slope_over give g(X/D) and g'(X/D) in integers, and value the
-    Fraction from over; derivative is g' in floats, and lead and
-    derivative_over_lead are float forms scaled by x^d2, stable at any degree.
+    Beyond the map protocol, slope_over gives g'(X/D) in integers, and lead
+    and derivative_over_lead are float forms scaled by x^d2, stable at any
+    degree.
     """
 
     family: SequenceFamily

@@ -271,23 +271,17 @@ def required_precision(d: int, alpha_upper, delta, mults: int) -> int:
     ceil(d*log2(alpha_upper)) covers the integer part, ceil(log2(1/delta)) the
     target resolution, ceil(log2(mults+1)) the accumulated per-multiplication
     rounding, plus 16 guard bits.  Raises PrecisionOverflow when the total
-    exceeds PREC_BUDGET_BITS.
+    exceeds PREC_BUDGET_BITS.  d >= 1, alpha > 1 and delta in (0, 1/4) are
+    frac_walk's rules, checked there before any plan.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
     if mults < 0:
         raise ValueError("mults must be >= 0")
     au = float(alpha_upper)
-    if not au > 1.0:
-        raise ValueError("alpha_upper must exceed 1")
-    delta_f = Fraction(delta)
-    if not 0 < delta_f < 1:
-        raise ValueError("delta must lie in (0, 1)")
     try:
         magnitude = math.ceil(d * math.log2(au))
     except OverflowError:  # d beyond the float range
         magnitude = math.inf
-    prec = magnitude + _ceil_log2_inv(delta_f) + mults.bit_length() + 16
+    prec = magnitude + _ceil_log2_inv(Fraction(delta)) + mults.bit_length() + 16
     if prec > PREC_BUDGET_BITS:
         # str() of an int beyond 4300 digits raises ValueError
         shown = (str(d) if d.bit_length() <= 1000

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ppclab.families import FACTORIAL_CAP, DifferenceMap, SequenceFamily, degree
+from ppclab.families import (FACTORIAL_CAP, DifferenceMap, IntervalSpec,
+                              SequenceFamily, degree)
 from ppclab.hpreal import PrecisionOverflow
 
 HOLDS = "holds"
@@ -57,37 +57,6 @@ SAMPLED_DEGREE_CAP = 1025
 # families whose differences are plain two-term monomial differences,
 # increasing and convex on (1, inf) by inspection of the derivatives
 _CLOSED_FORM_CONVEX = ("monomial", "factorial", "linpow")
-
-
-@dataclass(frozen=True)
-class IntervalSpec:
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        if not 1 < self.a < self.b:
-            raise ValueError("need 1 < a < b, got [%s, %s]" % (self.a, self.b))
-        try:
-            float(self.b)
-        except OverflowError:
-            raise ValueError("b must be within the float range") from None
-
-    def float_a(self) -> float:
-        """float(a) for the float forms that divide by a - 1; an a that
-        rounds to 1.0 is rejected."""
-        a = float(self.a)
-        if not a > 1:
-            raise ValueError("a must exceed 1 as a float; it rounds to 1.0")
-        return a
-
-    def grid(self, n: int) -> tuple[list[int], int]:
-        """(xs, Q): the points a + i*(b - a)/n, i = 0..n, are x/Q."""
-        L = math.lcm(self.a.denominator, self.b.denominator)
-        A = self.a.numerator * (L // self.a.denominator)
-        B = self.b.numerator * (L // self.b.denominator)
-        return [A * n + i * (B - A) for i in range(n + 1)], L * n
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,9 @@ M is intersected with [g(a), g(b)] and pulled back through g by bisection.
 All function values and comparisons are exact integers: g(a), g(b) are
 numerators over one denominator and the bisection runs over one common D, so
 the only error is the final bisection bracket width, which is budgeted as
-tol/(levels+1) per endpoint.  The maps g are PowerMap (alpha^d) and
-families.DifferenceMap (f_{n2} - f_{n1}).  Each gives over(D), the pair
-(num, den) with g(X/D) = num(X)/den, value(x) (the exact Fraction built from
-over), derivative(x) (float) and lead(x), the pair (d, g(x)/x^d) from which
-the level cap is checked in floats before any exact value.
+tol/(levels+1) per endpoint.  The maps g and the interval [a, b] are
+families.PowerMap, families.DifferenceMap and families.IntervalSpec; the
+level cap is checked on a map's float lead form before any exact value.
 
 Degrees are capped through the level count (about g(b) levels), so the exact
 route is a desk-scale instrument; large-degree behavior is reached through
@@ -22,17 +20,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ppclab.families import DifferenceMap
-from ppclab.hpreal import int_pow
-from ppclab.hypothesis import IntervalSpec
+from ppclab.families import DifferenceMap, IntervalSpec, PowerMap
+from ppclab.hpreal import PrecisionOverflow
 
 _LEVEL_CAP = 10**6
 _MAX_TOL = Fraction(1, 10**6)
 # Finest tol: each halving adds one exact bisection step.  The linpow n1=3
 # n2=12 measure on [1.5, 1.6] took 0.03 s at the default 1e-9, 0.07 s at
 # 1e-30 and 1.0 s at 1e-100 (in-process, 2-CPU host, Python 3.11).  Results
-# are floats of about 17 digits, so a finer tol adds nothing; below about
-# 1e-308 the iteration count's float log2 would overflow.
+# are floats of about 17 digits, so a finer tol adds nothing.
 _MIN_TOL = Fraction(1, 10**30)
 
 
@@ -105,34 +101,6 @@ class LemmaBounds:
     lower_main: float
     upper_main: float
     residual_scaled: float
-
-
-@dataclass(frozen=True)
-class PowerMap:
-    """g(alpha) = alpha^d."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("exponent must be >= 1")
-
-    def over(self, D: int):
-        """(num, den) with g(X/D) = num(X)/den = X^d/D^d for integers X, D."""
-        d = self.d
-        return (lambda X: int_pow(X, d)), int_pow(D, d)
-
-    def value(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        num, den = self.over(x.denominator)
-        return Fraction(num(x.numerator), den)
-
-    def derivative(self, x: float) -> float:
-        return self.d * x ** (self.d - 1)
-
-    def lead(self, x: float) -> tuple[int, float]:
-        """(d, g(x)/x^d), the log form used before any exact power."""
-        return self.d, 1.0
 
 
 def _validate_tol(tol) -> Fraction:
@@ -221,9 +189,11 @@ def _inverse(g: PowerMap | DifferenceMap, interval: IntervalSpec, iters: int):
 
 
 def _iterations(interval: IntervalSpec, levels: int, tol: Fraction) -> int:
-    width = interval.b - interval.a
-    need = width * (levels + 1) / tol
-    return max(60, math.ceil(math.log2(need)))
+    """max(60, ceil(log2(width * (levels + 1) / tol))), exactly: 2^k >= p/q
+    holds for an integer k >= 0 exactly when 2^k >= ceil(p/q), so k is the
+    bit length of ceil(p/q) - 1."""
+    need = (interval.b - interval.a) * (levels + 1) / tol
+    return max(60, (-(-need.numerator // need.denominator) - 1).bit_length())
 
 
 def level_set_measure(g: PowerMap | DifferenceMap, interval: IntervalSpec,
@@ -253,12 +223,18 @@ def level_set_measure(g: PowerMap | DifferenceMap, interval: IntervalSpec,
         total = width
     main_term = float(target.length * width)
     measure = float(total)
+    try:
+        derivative_at_a = g.derivative(float(interval.a))
+    except OverflowError:  # a power of a past the float range
+        raise PrecisionOverflow(
+            "g'(a) at a = %r leaves the float range" % float(interval.a)
+        ) from None
     return MeasureResult(
         measure=measure,
         intervals=tuple(intervals),
         main_term=main_term,
         residual=measure - main_term,
-        derivative_at_a=g.derivative(float(interval.a)),
+        derivative_at_a=derivative_at_a,
         tolerance=float(tol_frac),
     )
 

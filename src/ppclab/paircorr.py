@@ -7,6 +7,11 @@ sorted lattice, O(N log N); `naive_pair_count` keeps the O(N^2) enumeration
 available as an independent audit route, and the two must agree exactly on
 every input.
 
+The resolution policy of an orbit's pair statistic lives here: the default
+point error budget min(2^-40, s/(200 N)), the rule delta <= s/(100 N) checked
+before any orbit, the N-list rules and the blur guard of every count.
+ppc_curve is the one route from a family and alpha to pair counts.
+
 A point set may also be serialized to the plain-text `ppc-points v1` format:
 
     # ppc-points v1 N=<int>
@@ -32,13 +37,6 @@ from ppclab.hpreal import ExactReal, UnitPoint, check_delta, check_literal
 
 class TooBlurry(ValueError):
     """Point error bounds are too large for the requested pair threshold."""
-
-    def __init__(self, max_error: float, bound: float):
-        super().__init__(
-            "max point error %.3g exceeds s/(100*N) = %.3g" % (max_error, bound)
-        )
-        self.max_error = max_error
-        self.bound = bound
 
 
 @dataclass(frozen=True)
@@ -94,7 +92,8 @@ def _counting_lattice(points: Sequence[UnitPoint],
     bound = s_frac / (100 * N)
     worst = max(p.error for p in points)
     if Fraction(worst) > bound:
-        raise TooBlurry(worst, float(bound))
+        raise TooBlurry("max point error %.3g exceeds s/(100*N) = %.3g"
+                        % (worst, bound))
     us, L = _lattice(points)
     T = (s_frac.numerator * L) // (s_frac.denominator * N)
     return N, s_frac, us, L, T
@@ -133,6 +132,12 @@ def naive_pair_count(points: Sequence[UnitPoint], s) -> int:
     return count
 
 
+def default_delta(s, n_max: int) -> Fraction:
+    """Point tolerance 2^-40, or finer for the blur guard at scale s."""
+    delta = Fraction(1, 2**40)
+    return delta if s is None else min(delta, Fraction(s) / (200 * n_max))
+
+
 def check_resolution(s, delta, n_max: int) -> tuple[Fraction, Fraction]:
     """(s, delta) as Fractions, checked before any orbit up to n_max points.
 
@@ -152,17 +157,22 @@ def check_resolution(s, delta, n_max: int) -> tuple[Fraction, Fraction]:
     return s_frac, delta_f
 
 
-def ppc_curve(family: SequenceFamily, alpha: ExactReal, s, N_list: Sequence[int],
-              delta) -> list[tuple[int, float]]:
-    """Pair-correlation statistic along N_list from one orbit at max(N_list)."""
+def check_n_list(N_list: Sequence[int]) -> int:
+    """max(N_list), once the list is nonempty and every N >= 1."""
     if not N_list:
         raise ValueError("N_list must be nonempty")
     if any(n < 1 for n in N_list):
         raise ValueError("every N must be >= 1")
-    n_max = max(N_list)
+    return max(N_list)
+
+
+def ppc_curve(family: SequenceFamily, alpha: ExactReal, s, N_list: Sequence[int],
+              delta) -> list[PairCorrelationResult]:
+    """The pair count at each N of N_list, from one orbit at max(N_list)."""
+    n_max = check_n_list(N_list)
     s_frac, delta = check_resolution(s, delta, n_max)
     orb = orbit(family, alpha, n_max, delta)
-    return [(N, pair_count(orb.points[:N], s_frac).statistic) for N in N_list]
+    return [pair_count(orb.points[:N], s_frac) for N in N_list]
 
 
 def star_discrepancy(points: Sequence[UnitPoint]) -> DiscrepancyResult:

@@ -1,10 +1,11 @@
 """Quadrature estimates of V(N) = integral over [a,b] of (R2(s,N,alpha) - 2s)^2.
 
-Each quadrature node is an exact rational alpha; the per-node statistic comes
-from one certified orbit at the largest requested N, with smaller N read off
-the orbit prefix.  Nodes are independent, so they form the unit of
-parallelism; the reduction always runs in ascending node order, which makes
-the result identical for any thread count.
+Each quadrature node is an exact rational alpha; the per-node statistics come
+from paircorr.ppc_curve, one certified orbit at the largest requested N with
+smaller N read off the orbit prefix, and the default delta, the N-list rules
+and the blur bound are paircorr's too.  Nodes are independent, so they form
+the unit of parallelism; the reduction always runs in ascending node order,
+which makes the result identical for any thread count.
 
 The random mode draws nodes with SplitMix64 so runs are reproducible across
 machines and languages from the 64-bit seed alone.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from ppclab.families import SequenceFamily, check_orbit_length
+from ppclab.families import IntervalSpec, SequenceFamily, check_orbit_length
 from ppclab.hpreal import (
     ALPHA_BITS,
     ExactReal,
@@ -26,8 +27,8 @@ from ppclab.hpreal import (
     PrecisionOverflow,
     parse_alpha,
 )
-from ppclab.hypothesis import IntervalSpec
-from ppclab.paircorr import check_resolution, ppc_curve
+from ppclab.paircorr import (check_n_list, check_resolution, default_delta,
+                              ppc_curve)
 
 _MASK64 = (1 << 64) - 1
 
@@ -92,16 +93,10 @@ def quadrature_nodes(interval: IntervalSpec, quad: QuadratureSpec) -> list[Fract
     return [interval.a + width * Fraction(z >> 11, 1 << 53) for z in draws]
 
 
-def default_delta(s, n_max: int) -> Fraction:
-    """Point tolerance 2^-40, or finer for the blur guard at scale s."""
-    delta = Fraction(1, 2**40)
-    return delta if s is None else min(delta, Fraction(s) / (200 * n_max))
-
-
 def _node_stats(args) -> list[float]:
     """One node's statistics along n_list; module-level so a pool can
     pickle it."""
-    return [stat for _, stat in ppc_curve(*args)]
+    return [res.statistic for res in ppc_curve(*args)]
 
 
 def _usable_cpus() -> int:
@@ -160,10 +155,7 @@ def second_moment_series(family: SequenceFamily, interval: IntervalSpec, s,
                          N_list: Sequence[int], quad: QuadratureSpec,
                          delta=None, threads: int = 1) -> SecondMomentSeries:
     """V(N) along N_list; one orbit per node at max(N), prefixes for smaller N."""
-    if not N_list:
-        raise ValueError("N_list must be nonempty")
-    if any(n < 1 for n in N_list):
-        raise ValueError("every N must be >= 1")
+    check_n_list(N_list)
     n_sorted = sorted(set(int(n) for n in N_list))
     n_max = check_orbit_length(n_sorted[-1])
     if delta is None:

@@ -88,7 +88,16 @@ def test_orbit_precision_budget_is_precision_failure(capsys):
                  ["orbit", "--family", "monomial:k=1000000000",
                   "--alpha", "1.5", "--N", "3"],
                  ["hypothesis", "--family", "monomial:k=1000000000",
-                  "--a", "1.5", "--b", "2"]):
+                  "--a", "1.5", "--b", "2"],
+                 # a float g'(a) past the float range, and a b - a whose
+                 # float underflows, at a level count inside the cap
+                 ["measure", "--family", "geomsum:k=1", "--n1", "1",
+                  "--n2", "2", "--a", "1e160",
+                  "--b", "1." + "0" * 340 + "1e160",
+                  "--target-c", "0", "--target-d", "0.5"],
+                 ["measure", "--degree", "3", "--a", "1e160",
+                  "--b", "1." + "0" * 700 + "1e160",
+                  "--target-c", "0", "--target-d", "0.5"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         lines = err.splitlines()
@@ -141,6 +150,29 @@ def test_paircorr_curve_csv(capsys):
     assert lines[0] == "N,statistic"
     assert len(lines) == 3
     assert [int(line.split(",")[0]) for line in lines[1:]] == [20, 40]
+
+
+@pytest.mark.parametrize("family, alpha, s", [
+    ("monomial:k=2", "1.5", "1"),
+    ("linpow", "1.5", "0.5"),
+    ("kronecker", "1.6180339887498948482045868343656381177", "0.1"),
+])
+def test_paircorr_single_n_and_one_entry_list_agree(capsys, family, alpha, s):
+    # --N and --N-list share one route, so one N gives one statistic
+    base = ["paircorr", "--family", family, "--alpha", alpha, "--s", s]
+    single = run(capsys, *base, "--N", "200", "--format", "csv")
+    listed = run(capsys, *base, "--N-list", "200", "--format", "csv")
+    assert single == listed and single[0] == 0
+    code, out, _ = run(capsys, *base, "--N", "200")
+    assert code == 0
+    result = json.loads(out)
+    code, out, _ = run(capsys, *base, "--N-list", "200")
+    assert code == 0
+    curve = json.loads(out)
+    assert result["schema"] == "paircorr-result v1"
+    assert curve["schema"] == "paircorr-curve v1"
+    assert curve["entries"] == [{"N": 200, "statistic": result["statistic"]}]
+    assert curve["s"] == result["s"]
 
 
 def test_paircorr_kronecker_golden_ratio(capsys):
@@ -628,7 +660,7 @@ _SECOND_MOMENT = ["second-moment", "--family", "linpow", "--a", "1.5",
 def test_second_moment_failure_keeps_the_orbit_index(monkeypatch, capsys):
     from ppclab import hpreal
     from ppclab.families import orbit, parse_family
-    from ppclab.secondmoment import default_delta
+    from ppclab.paircorr import default_delta
 
     # 40 bits, 80 after the doubling, certify the first few dozen linpow
     # points only
@@ -743,3 +775,16 @@ def test_importing_cli_loads_no_worker_pool_module():
         "ppclab", "ppclab.cli", "ppclab.families", "ppclab.hpreal",
         "ppclab.hypothesis", "ppclab.measure", "ppclab.paircorr",
         "ppclab.secondmoment"]
+
+
+@pytest.mark.parametrize("module", ["ppclab.measure", "ppclab.secondmoment"])
+def test_interval_users_load_no_hypothesis_module(module):
+    # the interval [a, b] and the maps g belong to families, so measuring
+    # and sweeping need no growth-condition code
+    probe = ("import json, sys, %s; print(json.dumps("
+             "'ppclab.hypothesis' in sys.modules))" % module)
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(ppclab.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) is False

@@ -16,6 +16,7 @@ from ppclab.families import (
     ORBIT_N_CAP,
     FamilyError,
     DifferenceMap,
+    IntervalSpec,
     SequenceFamily,
     degree,
     orbit,
@@ -471,6 +472,20 @@ def test_gap_powers_are_reused_and_grown_inside_a_segment(monkeypatch, prec):
     assert pows == [1, 3, 2, 2, 4, 32]
     for e, got in zip(exps, points):
         assert circle_dist(got.value, dyadic_frac_power(ALPHA18, e)) <= Fraction(got.error)
+
+
+# ---------------------------------------------------------------------------
+# the interval [a, b]
+# ---------------------------------------------------------------------------
+
+def test_interval_validation():
+    IntervalSpec(1.1, 1.2)
+    for a, b in ((1, 2), (0.5, 2), (2, 2), (3, 2)):
+        with pytest.raises(ValueError):
+            IntervalSpec(a, b)
+    IntervalSpec(1.5, 1e308)
+    with pytest.raises(ValueError, match="b must be within the float range"):
+        IntervalSpec(1.5, Fraction(10**400))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from ppclab.hpreal import (
     check_delta,
     check_literal,
     frac_point,
+    frac_walk,
     parse_alpha,
     pow_frac,
     required_precision,
@@ -149,13 +150,25 @@ def test_required_precision_overflow_reject():
         required_precision(2**20000, 1.5, Fraction(1, 2**40), 8)
 
 
-def test_required_precision_validation():
-    with pytest.raises(ValueError):
-        required_precision(0, 2, Fraction(1, 4), 1)
-    with pytest.raises(ValueError):
-        required_precision(4, 1.0, Fraction(1, 4), 1)
-    with pytest.raises(ValueError):
-        required_precision(4, 2.0, 2, 1)
+def test_frac_walk_rejects_bad_input_before_any_multiply(monkeypatch):
+    # the planner's inputs are checked once, by frac_walk, before any plan
+    def never(*args):
+        raise AssertionError("planned or multiplied before the input rules")
+
+    for name in ("required_precision", "ball_mul", "ball_pow", "_mul"):
+        monkeypatch.setattr(hpreal, name, never)
+    alpha, delta = parse_alpha("1.5", 64), Fraction(1, 2**40)
+    with pytest.raises(AssertionError):  # valid input reaches the sentinel
+        frac_walk(alpha, [3, 5], delta)
+    for low in (Fraction(1), Fraction(3, 4)):
+        with pytest.raises(ValueError, match="alpha must exceed 1"):
+            frac_walk(ExactReal.from_fraction(low), [3], delta)
+    for exps in ([0, 3], [-2], [], [3, 3], [5, 3]):
+        with pytest.raises(ValueError, match="exponents must be >= 1"):
+            frac_walk(alpha, exps, delta)
+    for bad in (0, -delta, Fraction(1, 4), Fraction(1, 2), 1):
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1/4\)"):
+            frac_walk(alpha, [3], bad)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ppclab import hypothesis
-from ppclab.families import DifferenceMap, degree, parse_family
+from ppclab.families import DifferenceMap, IntervalSpec, degree, parse_family
 from ppclab.hpreal import PrecisionOverflow
 from ppclab.hypothesis import (
     FAILS,
@@ -17,7 +17,6 @@ from ppclab.hypothesis import (
     SAMPLED,
     SAMPLED_DEGREE_CAP,
     SKIPPED,
-    IntervalSpec,
     _condition1,
     _condition2,
     _condition5,
@@ -28,20 +27,6 @@ from ppclab.hypothesis import (
 )
 
 AB = IntervalSpec(1.5, 2)
-
-
-# ---------------------------------------------------------------------------
-# interval
-# ---------------------------------------------------------------------------
-
-def test_interval_validation():
-    IntervalSpec(1.1, 1.2)
-    for a, b in ((1, 2), (0.5, 2), (2, 2), (3, 2)):
-        with pytest.raises(ValueError):
-            IntervalSpec(a, b)
-    IntervalSpec(1.5, 1e308)
-    with pytest.raises(ValueError, match="b must be within the float range"):
-        IntervalSpec(1.5, Fraction(10**400))
 
 
 # ---------------------------------------------------------------------------

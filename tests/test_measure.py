@@ -6,14 +6,15 @@ from fractions import Fraction
 import pytest
 
 from ppclab import families
-from ppclab.families import DifferenceMap, degree, parse_family
-from ppclab.hypothesis import IntervalSpec
+from ppclab.families import (DifferenceMap, IntervalSpec, PowerMap, degree,
+                             parse_family)
+from ppclab.hpreal import PrecisionOverflow
 from ppclab.measure import (
     CircleInterval,
     LevelCapExceeded,
     NonMonotone,
-    PowerMap,
     _inverse,
+    _iterations,
     lemma_bounds_check,
     level_set_measure,
     measure_to_json,
@@ -337,6 +338,30 @@ def test_tol_validation():
 def test_power_map_validation():
     with pytest.raises(ValueError):
         PowerMap(0)
+
+
+def test_iterations_are_the_exact_ceil_log2():
+    iv = IntervalSpec(Fraction(3, 2), Fraction(2))
+    # width 1/2 and 2 levels: need = (3/2) / tol
+    assert _iterations(iv, 2, Fraction(3, 2**81)) == 80
+    assert _iterations(iv, 2, Fraction(3, 2**81 + 1)) == 81
+    assert _iterations(iv, 2, Fraction(3, 2**81 - 1)) == 80
+    assert _iterations(iv, 2, Fraction(1, 10**6)) == 60  # the floor
+    # a width whose float underflows to 0.0 still gets the floor
+    tiny = IntervalSpec(Fraction(10**160), Fraction("1." + "0" * 700 + "1e160"))
+    assert _iterations(tiny, 2, Fraction(1, 10**30)) == 60
+
+
+def test_far_interval_with_few_levels():
+    # b - a is about 1e-540 at a = 1e160: one or two levels for x^2, whose
+    # float g'(a) = 2e160 fits; x^3's g'(a) = 3e320 does not
+    far = IntervalSpec(Fraction(10**160),
+                       Fraction("1." + "0" * 700 + "1e160"))
+    target = CircleInterval.arc(0, Fraction(1, 2))
+    res = level_set_measure(PowerMap(2), far, target, TOL)
+    assert res.derivative_at_a == 2e160
+    with pytest.raises(PrecisionOverflow, match=r"g'\(a\) at a = 1e\+160"):
+        level_set_measure(PowerMap(3), far, target, TOL)
 
 
 # ---------------------------------------------------------------------------

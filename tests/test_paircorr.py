@@ -9,6 +9,7 @@ from ppclab.hpreal import UnitPoint, parse_alpha
 from ppclab.paircorr import (
     TooBlurry,
     check_resolution,
+    default_delta,
     gap_spectrum,
     naive_pair_count,
     pair_count,
@@ -134,9 +135,9 @@ def test_ppc_curve_matches_prefix_counts():
     delta = 2.0**-40
     curve = ppc_curve(fam, alpha, Fraction(3, 10), [1, 2, 3, 5, 8], delta)
     orb = orbit(fam, alpha, 8, delta)
-    assert [n for n, _ in curve] == [1, 2, 3, 5, 8]
-    for n, stat in curve:
-        assert stat == pair_count(orb.points[:n], Fraction(3, 10)).statistic
+    assert [r.N for r in curve] == [1, 2, 3, 5, 8]
+    for r in curve:
+        assert r == pair_count(orb.points[:r.N], Fraction(3, 10))
 
 
 def test_ppc_curve_validation():
@@ -149,6 +150,14 @@ def test_ppc_curve_validation():
     with pytest.raises(ValueError):
         # delta coarser than s/(100*max(N))
         ppc_curve(fam, alpha, Fraction(3, 10), [100], 0.01)
+
+
+def test_default_delta_branches():
+    # large s: the fixed dyadic floor wins
+    assert default_delta(1, 100) == Fraction(1, 2**40)
+    # tiny s: the blur-proportional bound wins
+    s = Fraction(1, 10**9)
+    assert default_delta(s, 1000) == s / 200000
 
 
 def test_check_resolution():

@@ -6,16 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from ppclab.families import orbit, parse_family
+from ppclab.families import IntervalSpec, orbit, parse_family
 from ppclab.hpreal import PrecisionOverflow, parse_alpha
-from ppclab.hypothesis import IntervalSpec
-from ppclab.paircorr import pair_count
+from ppclab.paircorr import default_delta, pair_count
 from ppclab.secondmoment import (
     K_MAX,
     QuadratureSpec,
     _pool_size,
     decay_fit,
-    default_delta,
     quadrature_nodes,
     second_moment_series,
     series_to_csv,
@@ -90,14 +88,6 @@ def test_random_nodes_seeded_and_in_range():
     draws = splitmix64_stream(20260819, 16)
     width = interval.b - interval.a
     assert nodes[0] == interval.a + width * Fraction(draws[0] >> 11, 2**53)
-
-
-def test_default_delta_branches():
-    # large s: the fixed dyadic floor wins
-    assert default_delta(1, 100) == Fraction(1, 2**40)
-    # tiny s: the blur-proportional bound wins
-    s = Fraction(1, 10**9)
-    assert default_delta(s, 1000) == s / 200000
 
 
 def test_decay_fit_exact_inverse_law():
