@@ -12,17 +12,19 @@ of an --in file go straight to paircorr.pair_count.
 Exit codes: 0 success, 1 usage error (single machine-readable line on stderr
 before any computation), 2 numeric or precision failure.  Every input rule
 (alpha > 1 on its 128-bit grid, delta, s > 0 within the float range and the
-blur bound, 1 < a < b with b within the float range, tol, the hypothesis scan
-bounds) lives in the library function or constructor that
-owns the value; this module only turns flag text into values and adds the
-rules of the command line itself: N >= 2 and the flag combinations, stated in
-the parser where argparse can state them.  `main` maps errors in one place:
-PrecisionOverflow and IndeterminateFrac exit 2 as "precision"; TooBlurry,
-LevelCapExceeded and NonMonotone exit 2 as "numeric"; a broken second-moment
-worker pool exits 2 as "worker"; any other ValueError, wherever it is raised,
-is a usage error and exits 1, so library messages never print an unbounded
-int in full.  An --out file that cannot be written is the one usage error
-reported after the computation.
+blur bound, 1 < a < b with b within the float range, tol, the target arc,
+whose length has a nonzero float, the hypothesis scan bounds) lives in the
+library function or constructor that owns the value, with hpreal.check_float
+the one float rule; this module only turns flag text into values and adds
+the rules of the command line itself: N >= 2 and the flag combinations,
+stated in the parser where argparse can state them.  `main` maps errors in
+one place: PrecisionOverflow, IndeterminateFrac and OverflowError, the one
+signal of a result past the float range (JSON holds no Infinity or NaN),
+exit 2 as "precision"; TooBlurry, LevelCapExceeded and NonMonotone exit 2 as
+"numeric"; a broken second-moment worker pool exits 2 as "worker"; any other
+ValueError, wherever it is raised, is a usage error and exits 1, so library
+messages never print an unbounded int in full.  An --out file that cannot be
+written is the one usage error reported after the computation.
 
 Caps, each checked before any work: the decimal exponent of a number in a
 flag or an --in point line (hpreal.LITERAL_EXP_CAP, 4300), orbit points and
@@ -145,7 +147,11 @@ def _config(ns) -> dict:
 
 def _json_payload(doc: dict, ns) -> str:
     """A JSON artifact: the result document, then its replay block."""
-    return json.dumps(dict(doc, config=_config(ns)), indent=2) + "\n"
+    try:
+        return json.dumps(dict(doc, config=_config(ns)), indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError:  # JSON holds no Infinity or NaN
+        raise OverflowError("a result leaves the float range") from None
 
 
 def _delta(ns, s: Fraction | None, n_max: int) -> Fraction:
@@ -449,7 +455,7 @@ def main(argv=None) -> int:
         _emit(ns.out, _HANDLERS[ns.cmd](ns))
     except SystemExit as exc:  # --help / --version
         return 0 if exc.code in (None, 0) else int(exc.code)
-    except (PrecisionOverflow, IndeterminateFrac) as exc:
+    except (PrecisionOverflow, IndeterminateFrac, OverflowError) as exc:
         return _fail({"error": "precision", "detail": str(exc),
                       "index": getattr(exc, "index", None)}, 2)
     # TooBlurry, LevelCapExceeded and NonMonotone subclass ValueError, so

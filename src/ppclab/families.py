@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ppclab.hpreal import (ExactReal, PrecisionOverflow, UnitPoint, _mul, check_delta,
-                           frac_walk, int_pow)
+                           check_float, frac_walk, int_pow)
 
 FACTORIAL_CAP = 20
 
@@ -171,10 +171,7 @@ class IntervalSpec:
         object.__setattr__(self, "b", Fraction(self.b))
         if not 1 < self.a < self.b:
             raise ValueError("need 1 < a < b, got [%s, %s]" % (self.a, self.b))
-        try:
-            float(self.b)
-        except OverflowError:
-            raise ValueError("b must be within the float range") from None
+        check_float(self.b, "b")
 
     def float_a(self) -> float:
         """float(a) for the float forms that divide by a - 1; an a that

@@ -70,7 +70,7 @@ SEGMENT_GROWTH = 1.5
 
 
 class PrecisionOverflow(Exception):
-    """The planned working precision exceeds PREC_BUDGET_BITS mantissa bits."""
+    """A plan's precision budget, a degree cap or the float range is passed."""
 
 
 class IndeterminateFrac(Exception):
@@ -152,8 +152,6 @@ def _r_float(r: tuple[int, int]) -> float:
         return math.inf
     if f == 0.0:
         return 5e-324
-    if math.isinf(f):
-        return f
     return math.nextafter(f, math.inf)
 
 
@@ -255,6 +253,17 @@ def check_literal(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError("not a number: %r" % text[:60]) from None
+
+
+def check_float(value: Fraction, name: str) -> float:
+    """float(value), once it is finite, and nonzero unless value is 0."""
+    try:
+        f = float(value)
+    except OverflowError:
+        f = math.inf
+    if math.isinf(f) or (f == 0 and value != 0):
+        raise ValueError("%s must be within the float range" % name)
+    return f
 
 
 def check_delta(delta) -> Fraction:

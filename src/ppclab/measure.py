@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ppclab.families import DifferenceMap, IntervalSpec, PowerMap
-from ppclab.hpreal import PrecisionOverflow
+from ppclab.hpreal import PrecisionOverflow, _ceil_log2_inv, check_float
 
 _LEVEL_CAP = 10**6
 _MAX_TOL = Fraction(1, 10**6)
@@ -57,6 +57,7 @@ class CircleInterval:
         else:
             if not 0 <= self.c < self.d <= 1:
                 raise ValueError("arc needs 0 <= c < d <= 1")
+        check_float(self.length, "target length")  # lemma_bounds divides by it
 
     @classmethod
     def arc(cls, c, d) -> "CircleInterval":
@@ -135,9 +136,9 @@ def _log_rise(g: PowerMap | DifferenceMap, interval: IntervalSpec) -> float:
 
 
 def _checked_range(g: PowerMap | DifferenceMap,
-                   interval: IntervalSpec) -> tuple[int, int, int]:
-    """(ga, gb, den), with g(a) = ga/den and g(b) = gb/den, once g is
-    increasing and the level count within the cap.
+                   interval: IntervalSpec) -> tuple[int, int, int, int, int]:
+    """(ga, gb, den, m_lo, m_hi): g(a) = ga/den and g(b) = gb/den span the
+    levels m_lo..m_hi, once g is increasing and their count within the cap.
 
     The float estimate of g(b) - g(a) rejects far-off degrees before any
     exact power; its factor-2 margin covers float rounding, and nearer the
@@ -158,11 +159,12 @@ def _checked_range(g: PowerMap | DifferenceMap,
     ga, mid, gb = map(num, xs)
     if not ga < mid < gb:
         raise NonMonotone("g is not increasing across [a, b]")
-    if -(-gb // den) - ga // den > _LEVEL_CAP:
+    m_lo, m_hi = ga // den, -(-gb // den)
+    if m_hi - m_lo > _LEVEL_CAP:
         raise LevelCapExceeded(
             "level count exceeds cap %d; use the statistic route for large "
             "degrees" % _LEVEL_CAP)
-    return ga, gb, den
+    return ga, gb, den, m_lo, m_hi
 
 
 def _inverse(g: PowerMap | DifferenceMap, interval: IntervalSpec, iters: int):
@@ -189,21 +191,17 @@ def _inverse(g: PowerMap | DifferenceMap, interval: IntervalSpec, iters: int):
 
 
 def _iterations(interval: IntervalSpec, levels: int, tol: Fraction) -> int:
-    """max(60, ceil(log2(width * (levels + 1) / tol))), exactly: 2^k >= p/q
-    holds for an integer k >= 0 exactly when 2^k >= ceil(p/q), so k is the
-    bit length of ceil(p/q) - 1."""
-    need = (interval.b - interval.a) * (levels + 1) / tol
-    return max(60, (-(-need.numerator // need.denominator) - 1).bit_length())
+    """max(60, ceil(log2(width * (levels + 1) / tol))), exactly."""
+    width = interval.b - interval.a
+    return max(60, _ceil_log2_inv(tol / (width * (levels + 1))))
 
 
 def level_set_measure(g: PowerMap | DifferenceMap, interval: IntervalSpec,
                       target: CircleInterval, tol) -> MeasureResult:
     """Lebesgue measure of {alpha: fractional part of g(alpha) in target}."""
     tol_frac = _validate_tol(tol)
-    ga, gb, den = _checked_range(g, interval)
-    m_lo, m_hi = ga // den, -(-gb // den)
-    levels = m_hi - m_lo
-    invert = _inverse(g, interval, _iterations(interval, levels, tol_frac))
+    ga, gb, den, m_lo, m_hi = _checked_range(g, interval)
+    invert = _inverse(g, interval, _iterations(interval, m_hi - m_lo, tol_frac))
     intervals: list[PreimageInterval] = []
     total = Fraction(0)
     for M in range(m_lo, m_hi + 1):

@@ -32,7 +32,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ppclab.families import SequenceFamily, check_orbit_length, orbit
-from ppclab.hpreal import ExactReal, UnitPoint, check_delta, check_literal
+from ppclab.hpreal import (ExactReal, UnitPoint, check_delta, check_float,
+                           check_literal)
 
 
 class TooBlurry(ValueError):
@@ -57,12 +58,7 @@ def _as_fraction_s(s) -> Fraction:
     s_frac = Fraction(s)
     if s_frac <= 0:
         raise ValueError("s must be positive")
-    try:
-        in_range = float(s_frac) > 0  # 0.0: s underflows the float range
-    except OverflowError:
-        in_range = False
-    if not in_range:
-        raise ValueError("s must be within the float range")
+    check_float(s_frac, "s")
     return s_frac
 
 
@@ -147,8 +143,7 @@ def check_resolution(s, delta, n_max: int) -> tuple[Fraction, Fraction]:
     """
     s_frac = _as_fraction_s(s)
     delta_f = check_delta(delta)
-    if float(delta_f) == 0.0:
-        raise ValueError("delta must be within the float range")
+    check_float(delta_f, "delta")
     if delta_f > s_frac / (100 * n_max):
         raise ValueError(
             "delta %.3g too coarse for s %.3g at N=%d (need delta <= s/(100*N))"

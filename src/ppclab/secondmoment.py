@@ -168,7 +168,12 @@ def second_moment_series(family: SequenceFamily, interval: IntervalSpec, s,
     entries = []
     for j, n in enumerate(n_sorted):
         node_values = tuple(columns[i][j] for i in range(quad.K))
-        v = width / quad.K * sum((stat - two_s) ** 2 for stat in node_values)
+        try:
+            v = width / quad.K * sum((stat - two_s) ** 2 for stat in node_values)
+        except OverflowError:  # a square past the float range
+            v = math.inf
+        if not math.isfinite(v):  # or a sum of finite squares past it
+            raise OverflowError("V at N = %d leaves the float range" % n)
         entries.append((n, v, node_values))
     exponent = None
     log_constant = None

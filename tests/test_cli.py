@@ -97,7 +97,22 @@ def test_orbit_precision_budget_is_precision_failure(capsys):
                   "--target-c", "0", "--target-d", "0.5"],
                  ["measure", "--degree", "3", "--a", "1e160",
                   "--b", "1." + "0" * 700 + "1e160",
-                  "--target-c", "0", "--target-d", "0.5"]):
+                  "--target-c", "0", "--target-d", "0.5"],
+                 # results past the float range: g'(a) = 2 * 1e308, which
+                 # JSON cannot hold, and V(N) from a square past it, then
+                 # from a sum of finite squares past it, in CSV and JSON
+                 ["measure", "--degree", "2", "--a", "1e308",
+                  "--b", "1." + "0" * 620 + "1e308",
+                  "--target-c", "0", "--target-d", "0.5"],
+                 ["second-moment", "--family", "linpow", "--a", "1.5",
+                  "--b", "1.6", "--s", "1e200", "--N-list", "10,20,40",
+                  "--K", "2", "--threads", "1"],
+                 ["second-moment", "--family", "linpow", "--a", "1.5",
+                  "--b", "1.6", "--s", "5e153", "--N-list", "10,20,40",
+                  "--K", "16", "--threads", "1", "--format", "csv"],
+                 ["second-moment", "--family", "linpow", "--a", "1.5",
+                  "--b", "1.6", "--s", "5e153", "--N-list", "10,20,40",
+                  "--K", "16", "--threads", "1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         lines = err.splitlines()
@@ -577,6 +592,9 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     ["measure", "--family", "geomsum:k=1", "--n1", "1", "--n2", "2",
      "--a", "1.0000000000000001", "--b", "1.1", "--target-c", "0",
      "--target-d", "0.5"],
+    # a target arc whose length has no nonzero float
+    ["measure", "--degree", "2", "--a", "1.5", "--b", "1.6",
+     "--target-c", "0", "--target-d", "1e-400"],
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -707,6 +725,42 @@ def test_broken_worker_pool_is_one_json_line(monkeypatch, capsys):
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "worker",
                                     "detail": "a worker process died"}
+
+
+def test_overflow_error_is_one_precision_line(monkeypatch, capsys):
+    import ppclab.cli as cli
+
+    def overflows(ns):
+        raise OverflowError("past the float range")
+
+    monkeypatch.setitem(cli._HANDLERS, "orbit", overflows)
+    code, out, err = run(capsys, "orbit", "--family", "linpow",
+                         "--alpha", "1.5", "--N", "3")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "precision",
+                                    "detail": "past the float range",
+                                    "index": None}
+
+
+def test_wrap_target_without_a_float_length_takes_no_power(monkeypatch,
+                                                            capsys):
+    from ppclab.families import PowerMap
+
+    def never(self, D):
+        raise AssertionError("exact power taken")
+
+    monkeypatch.setattr(PowerMap, "over", never)
+    argv = ["measure", "--degree", "2", "--a", "1.5", "--b", "1.6",
+            "--target-d", "0", "--wrap", "--target-c"]
+    with pytest.raises(AssertionError, match="exact power taken"):
+        run(capsys, *argv, "0.9")  # the sentinel stands in the way
+    # c = 1 - 10^-400, so the wrap [c, 1) u [0, 0] has length 10^-400
+    code, out, err = run(capsys, *argv, "%d/%d" % (10**400 - 1, 10**400))
+    assert code == 1 and out == ""
+    assert usage_error(err)["detail"] == ("target length must be within the "
+                                          "float range")
 
 
 def test_missing_input_file_is_usage_error(tmp_path, capsys):

@@ -26,6 +26,7 @@ from ppclab.hpreal import (
     ball_pow,
     LITERAL_EXP_CAP,
     check_delta,
+    check_float,
     check_literal,
     frac_point,
     frac_walk,
@@ -100,6 +101,19 @@ def test_check_delta():
     for bad in (0, -1e-9, Fraction(1, 4), 0.3, "1e999"):
         with pytest.raises(ValueError):
             check_delta(bad)
+
+
+def test_check_float_is_the_float_range_rule():
+    # 2^1024 - 2^971 is the largest float; 2^1024 - 2^970, halfway to 2^1024,
+    # is below it too, but its float rounds (to even) past the range
+    for value in (Fraction(0), Fraction(3, 2), Fraction(-1, 3),
+                  Fraction(1, 10**300), Fraction(2**1024 - 2**971)):
+        assert check_float(value, "x") == float(value)
+    for value in (Fraction(1, 10**400), Fraction(-1, 10**400),
+                  Fraction(10**400), Fraction(2**1024 - 2**970)):
+        with pytest.raises(ValueError,
+                           match=r"\Ax must be within the float range\Z"):
+            check_float(value, "x")
 
 
 def test_check_literal_bounds_the_decimal_exponent():
