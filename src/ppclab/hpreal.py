@@ -13,6 +13,7 @@ Layers:
   _mul           -- the one exact multiply of mantissas (MUL_BACKEND names it)
   int_pow        -- x^d of an int, by square-and-multiply over _mul
   ExactReal      -- canonical dyadic rational (odd mantissa * 2^exp)
+  round_alpha    -- an exact rational to alpha on the 2^-ALPHA_BITS grid
   Ball           -- midpoint/radius enclosure at a given working precision
   UnitPoint      -- a point of [0,1) with a certified circle-metric error
   frac_walk      -- frac(alpha^e) along increasing exponents, one ball walk
@@ -51,7 +52,7 @@ from fractions import Fraction
 # per operand.  The largest plan any test or workload uses is ~3.6 Mbit.
 PREC_BUDGET_BITS = 1 << 30
 
-# Fractional bits of the grid that user alpha literals are rounded to.
+# Fractional bits of the grid that every alpha is rounded to (round_alpha).
 ALPHA_BITS = 128
 
 # Largest |decimal exponent| of a number literal, as Decimal(text).adjusted()
@@ -202,8 +203,9 @@ class ExactReal:
         return Fraction(self.num, 1 << -self.exp)
 
     def __float__(self) -> float:
+        """The correctly rounded float of the value; +-inf past the range."""
         try:
-            return math.ldexp(self.num, self.exp)
+            return float(self.as_fraction())
         except OverflowError:
             return math.inf if self.num > 0 else -math.inf
 
@@ -214,22 +216,27 @@ class ExactReal:
 
 
 def parse_alpha(text: str, bits: int) -> ExactReal:
-    """Parse a decimal literal to the nearest dyadic on a 2^-bits grid.
+    """Parse a decimal or p/q literal (check_literal) to its round_alpha.
 
-    Ties round to even.  The parsed value is the object of study from then on:
-    every downstream quantity is exact or certified relative to it.  Rejects
-    values that are <= 1 before or after rounding, and bits < 8.
+    The parsed value is the object of study from then on: every downstream
+    quantity is exact or certified relative to it.  Rejects values <= 1.
     """
-    if bits < 8:
-        raise ValueError("bits must be >= 8, got %d" % bits)
     x = check_literal(text)
     if x <= 1:
         raise ValueError("alpha must exceed 1, got %s" % text)
+    return round_alpha(x, bits)
+
+
+def round_alpha(x: Fraction, bits: int) -> ExactReal:
+    """The point of the 2^-bits grid nearest to an exact x > 1, ties to even:
+    the one step from an exact rational, --alpha text or a second-moment
+    node, to the walk's alpha.  Rejects a result <= 1 and bits < 8."""
+    if bits < 8:
+        raise ValueError("bits must be >= 8, got %d" % bits)
     scaled = round(x * (1 << bits))
-    value = Fraction(scaled, 1 << bits)
-    if value <= 1:
+    if scaled <= 1 << bits:
         raise ValueError("alpha rounds to a value <= 1 at %d bits" % bits)
-    return ExactReal.from_fraction(value)
+    return ExactReal._canon(scaled, -bits)
 
 
 def check_literal(text: str) -> Fraction:

@@ -63,7 +63,10 @@ def _as_fraction_s(s) -> Fraction:
 
 
 def _lattice(points: Sequence[UnitPoint]) -> tuple[list[int], int]:
-    # embed all values into Z/L for a common denominator L, sorted
+    # embed all values into Z/L for a common denominator L, sorted; the one
+    # rule that a point set is nonempty
+    if not points:
+        raise ValueError("points must be nonempty")
     L = 1
     for p in points:
         L = math.lcm(L, p.value.denominator)
@@ -81,16 +84,14 @@ def _counting_lattice(points: Sequence[UnitPoint],
     point blur cannot move a pair across the threshold undetected at the
     reported resolution.
     """
-    N = len(points)
-    if N < 1:
-        raise ValueError("points must be nonempty")
+    us, L = _lattice(points)
+    N = len(us)
     s_frac = _as_fraction_s(s)
     bound = s_frac / (100 * N)
     worst = max(p.error for p in points)
     if Fraction(worst) > bound:
         raise TooBlurry("max point error %.3g exceeds s/(100*N) = %.3g"
                         % (worst, bound))
-    us, L = _lattice(points)
     T = (s_frac.numerator * L) // (s_frac.denominator * N)
     return N, s_frac, us, L, T
 
@@ -174,10 +175,8 @@ def star_discrepancy(points: Sequence[UnitPoint]) -> DiscrepancyResult:
     """D*_N = max_i max(i/N - x_(i), x_(i) - (i-1)/N), computed exactly on
     the integer lattice: with x = u/L it is max(i*L - N*u, N*u - (i-1)*L)
     over N*L."""
-    N = len(points)
-    if N < 1:
-        raise ValueError("points must be nonempty")
     us, L = _lattice(points)
+    N = len(us)
     worst = max(max(i * L - N * u, N * u - (i - 1) * L)
                 for i, u in enumerate(us, start=1))
     return DiscrepancyResult(N, float(Fraction(worst, N * L)))
@@ -185,14 +184,9 @@ def star_discrepancy(points: Sequence[UnitPoint]) -> DiscrepancyResult:
 
 def gap_spectrum(points: Sequence[UnitPoint]) -> list[Fraction]:
     """Sorted circular gaps between consecutive points; sums to 1 exactly."""
-    N = len(points)
-    if N < 1:
-        raise ValueError("points must be nonempty")
-    xs = sorted(p.value for p in points)
-    gaps = [b - a for a, b in zip(xs, xs[1:])]
-    gaps.append(1 - xs[-1] + xs[0])
-    gaps.sort()
-    return gaps
+    us, L = _lattice(points)
+    gaps = sorted([b - a for a, b in zip(us, us[1:])] + [L - us[-1] + us[0]])
+    return [Fraction(gap, L) for gap in gaps]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Quadrature estimates of V(N) = integral over [a,b] of (R2(s,N,alpha) - 2s)^2.
 
-Each quadrature node is an exact rational alpha; the per-node statistics come
-from paircorr.ppc_curve, one certified orbit at the largest requested N with
+Each quadrature node is an exact rational, rounded to alpha's 128-bit grid
+(hpreal.round_alpha) as --alpha text is; the per-node statistics come from
+paircorr.ppc_curve, one certified orbit at the largest requested N with
 smaller N read off the orbit prefix, and the default delta, the N-list rules
 and the blur bound are paircorr's too.  Nodes are independent, so they form
 the unit of parallelism; the reduction always runs in ascending node order,
@@ -25,7 +26,7 @@ from ppclab.hpreal import (
     ExactReal,
     IndeterminateFrac,
     PrecisionOverflow,
-    parse_alpha,
+    round_alpha,
 )
 from ppclab.paircorr import (check_n_list, check_resolution, default_delta,
                               ppc_curve)
@@ -146,11 +147,6 @@ def _run_nodes(family: SequenceFamily, alphas: Sequence[ExactReal],
         raise WorkerFailed(str(exc)) from exc
 
 
-def _alphas_for(interval: IntervalSpec, quad: QuadratureSpec) -> list[ExactReal]:
-    return [parse_alpha(str(node), ALPHA_BITS)
-            for node in quadrature_nodes(interval, quad)]
-
-
 def second_moment_series(family: SequenceFamily, interval: IntervalSpec, s,
                          N_list: Sequence[int], quad: QuadratureSpec,
                          delta=None, threads: int = 1) -> SecondMomentSeries:
@@ -161,7 +157,8 @@ def second_moment_series(family: SequenceFamily, interval: IntervalSpec, s,
     if delta is None:
         delta = default_delta(s, n_max)
     s_frac, delta_frac = check_resolution(s, delta, n_max)
-    alphas = _alphas_for(interval, quad)
+    alphas = [round_alpha(node, ALPHA_BITS)
+              for node in quadrature_nodes(interval, quad)]
     columns = _run_nodes(family, alphas, n_sorted, s_frac, delta_frac, threads)
     width = float(interval.b - interval.a)
     two_s = 2.0 * float(s_frac)

@@ -359,6 +359,18 @@ def test_second_moment_json_config(capsys):
 # replayability and determinism
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("b, K", [
+    ("1e308", "2"),  # node 0, 2.5e307 + 9/8, has a 1025-bit mantissa
+    ("1.5" + "0" * 4296 + "1", "400"),  # nodes past 4300 digits as p/q text
+], ids=["mantissa-1025-bits", "node-denominator-4302-digits"])
+def test_second_moment_nodes_of_a_valid_interval_run(capsys, b, K):
+    code, out, err = run(capsys, "second-moment", "--family", "linpow",
+                         "--a", "1.5", "--b", b, "--s", "1", "--N", "5",
+                         "--K", K, "--threads", "1")
+    assert code == 0 and err == ""
+    assert json.loads(out)["schema"] == "second-moment v1"
+
+
 def _argv_from_config(block: dict) -> list:
     argv = [block["subcommand"]]
     for key, value in block.items():
@@ -467,6 +479,21 @@ def test_stdout_matches_file_output(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # usage errors, help, version
 # ---------------------------------------------------------------------------
+
+_FLAG_RULES = [
+    (["discrepancy", "--family", "linpow", "--alpha", "1.5"],
+     "need --N (or --in FILE)"),
+    (["measure", "--a", "1.1", "--b", "1.2", "--degree", "2", "--n1", "1",
+      "--target-c", "0", "--target-d", "0.5"],
+     "--n1/--n2 only apply with --family"),
+    (["measure", "--family", "linpow", "--n1", "1", "--a", "1.1", "--b", "1.2",
+      "--target-c", "0", "--target-d", "0.5"],
+     "difference maps need --n1 and --n2"),
+    (["second-moment", "--family", "linpow", "--a", "1.5", "--b", "1.6",
+      "--N", "5"],
+     "need --family, --a, --b and --s"),
+]
+
 
 @pytest.mark.parametrize("argv", [
     [],
@@ -595,12 +622,21 @@ def test_stdout_matches_file_output(tmp_path, capsys):
     # a target arc whose length has no nonzero float
     ["measure", "--degree", "2", "--a", "1.5", "--b", "1.6",
      "--target-c", "0", "--target-d", "1e-400"],
+    # the CLI's own rules on which flags go together
+    *(argv for argv, _ in _FLAG_RULES),
 ])
 def test_usage_errors_exit_one(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
     usage_error(err)
+
+
+@pytest.mark.parametrize("argv, detail", _FLAG_RULES)
+def test_flag_rules_name_the_missing_flags(capsys, argv, detail):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert usage_error(err)["detail"] == detail
 
 
 def test_unwritable_out_names_the_flag(tmp_path, capsys):

@@ -83,6 +83,15 @@ def test_parse_family_grammar():
             parse_family(bad)
 
 
+def test_family_constructor_rules():
+    # parse_family's grammar stops these before the constructor runs
+    with pytest.raises(FamilyError, match="^unknown family kind 'foo'$"):
+        SequenceFamily("foo")
+    with pytest.raises(FamilyError,
+                       match="^linpow takes no exponent parameter$"):
+        SequenceFamily("linpow", 2)
+
+
 def test_degree_values():
     assert degree(MON2, 5) == 25
     assert degree(SequenceFamily("geomsum", 3), 2) == 8

@@ -9,6 +9,7 @@ import json
 import math
 import operator
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -33,6 +34,7 @@ from ppclab.hpreal import (
     parse_alpha,
     pow_frac,
     required_precision,
+    round_alpha,
 )
 
 
@@ -137,6 +139,53 @@ def test_check_literal_bounds_the_decimal_exponent():
 def test_exactreal_from_fraction_of_a_float_is_exact():
     x = ExactReal.from_fraction(Fraction(1.7))
     assert x.as_fraction() == Fraction(1.7)
+
+
+def test_exactreal_float_is_the_float_of_its_value():
+    # second-moment node 0 on [1.5, 1e308] at K = 2: a 1025-bit mantissa
+    node = ExactReal.from_fraction(Fraction(25 * 10**306) + Fraction(9, 8))
+    assert node.num.bit_length() == 1025
+    assert float(node) == float(node.as_fraction()) == 2.5e307
+    rng = random.Random(7)
+    for _ in range(200):
+        num = rng.getrandbits(rng.randrange(1, 1200)) | 1
+        x = ExactReal(num, rng.randrange(-1300, 100) - num.bit_length())
+        assert float(x) == float(x.as_fraction())
+        if num.bit_length() <= 1024 and float(x) >= 2.0**-1022:
+            # below 2^1024 bits the float is the one math.ldexp gives
+            assert float(x) == math.ldexp(x.num, x.exp)
+    # past 2^1024 the float stays infinite, also for a value that only
+    # rounds up to 2^1024
+    for x in (ExactReal(1, 1024), ExactReal(2**1025 + 1, -1),
+              ExactReal(2**1200 - 1, -176)):
+        assert float(x) == math.inf and float(ExactReal(-x.num, x.exp)) == -math.inf
+
+
+def test_round_alpha_is_the_text_route_without_text():
+    rng = random.Random(20)
+    tie = 1 + Fraction(1, 2**129)  # halfway between 1 and the next grid point
+    xs = [tie, tie + Fraction(1, 2**200), 1 + Fraction(1, 2**130),
+          1 + Fraction(3, 2**129), Fraction(3, 2), Fraction(10**400 + 1, 3)]
+    xs += [Fraction(2 * rng.randrange(2**128, 2**131) + 1, 2**129)  # ties
+           for _ in range(100)]
+    xs += [1 + Fraction(rng.randrange(1, 10**30), rng.randrange(1, 10**30))
+           for _ in range(200)]
+    for x in xs:
+        scaled = round(x * 2**128)
+        if scaled <= 2**128:
+            for route in (lambda: round_alpha(x, 128),
+                          lambda: parse_alpha(str(x), 128)):
+                with pytest.raises(ValueError, match=r"^alpha rounds to a "
+                                   r"value <= 1 at 128 bits$"):
+                    route()
+            continue
+        got = round_alpha(x, 128)
+        assert got.as_fraction() == Fraction(scaled, 2**128)
+        assert got == parse_alpha(str(x), 128)
+    assert round_alpha(1 + Fraction(3, 2**129), 128).as_fraction() == (
+        1 + Fraction(1, 2**127))  # the tie goes to the even grid point
+    with pytest.raises(ValueError, match="^bits must be >= 8, got 7$"):
+        round_alpha(Fraction(3, 2), 7)
 
 
 # ---------------------------------------------------------------------------

@@ -207,6 +207,14 @@ def test_gap_spectrum_basics():
     assert gap_spectrum(pts([0.3])) == [Fraction(1)]
 
 
+def test_every_point_statistic_refuses_an_empty_set():
+    for statistic in (lambda ps: pair_count(ps, 1),
+                      lambda ps: naive_pair_count(ps, 1),
+                      star_discrepancy, gap_spectrum):
+        with pytest.raises(ValueError, match="^points must be nonempty$"):
+            statistic([])
+
+
 def test_gap_spectrum_kronecker_three_distance():
     fam = parse_family("kronecker")
     alpha = parse_alpha("1.6180339887498948482", 128)

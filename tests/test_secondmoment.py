@@ -144,6 +144,22 @@ def test_variance_formula_matches_direct_recomputation():
         assert v == width / 3 * sum((x - 2.0) ** 2 for x in node_values)
 
 
+def test_nodes_reach_alpha_without_text(monkeypatch):
+    from ppclab import hpreal
+
+    fam = parse_family("linpow")
+    interval = IntervalSpec(Fraction(3, 2), Fraction(8, 5))
+    quad = QuadratureSpec("midpoint", 3)
+    expected = second_moment_series(fam, interval, 1, [5, 10], quad)
+
+    def never(text):
+        raise AssertionError("a node went through literal text")
+
+    monkeypatch.setattr(hpreal, "check_literal", never)
+    series = second_moment_series(fam, interval, 1, [5, 10], quad)
+    assert series.entries == expected.entries
+
+
 def test_duplicate_and_unsorted_n_list_collapses():
     fam = parse_family("monomial:k=2")
     interval = IntervalSpec(Fraction(3, 2), Fraction(8, 5))
