@@ -55,6 +55,7 @@ from ppclab.hpreal import (
     ALPHA_BITS,
     MUL_BACKEND,
     IndeterminateFrac,
+    LatticePoints,
     PrecisionOverflow,
     check_literal,
     parse_alpha,
@@ -174,10 +175,10 @@ def _family_alpha(ns):
     return family, alpha
 
 
-def _points(ns) -> list:
+def _points(ns) -> LatticePoints:
     """The points a command runs on: read from --in, which replaces the
     family flags, or walked as the orbit --family/--alpha/--N/--delta
-    describe."""
+    describe; on one lattice either way."""
     path = getattr(ns, "in", None)  # orbit takes no --in
     if path is not None:
         if any(getattr(ns, key, None) is not None

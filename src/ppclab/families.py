@@ -28,8 +28,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ppclab.hpreal import (ExactReal, PrecisionOverflow, UnitPoint, _mul, check_delta,
-                           check_float, frac_walk, int_pow)
+from ppclab.hpreal import (ExactReal, LatticePoints, PrecisionOverflow, _mul,
+                           check_delta, check_float, frac_walk, int_pow)
 
 FACTORIAL_CAP = 20
 
@@ -117,7 +117,7 @@ class Orbit:
     family: SequenceFamily
     alpha: ExactReal
     delta: Fraction
-    points: tuple[UnitPoint, ...]
+    points: LatticePoints
 
 
 def _exponent(family: SequenceFamily, n: int) -> int:
@@ -138,19 +138,18 @@ def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
     """First N fractional parts of the family at alpha, certified to delta.
 
     Single incremental pass of hpreal.frac_walk over the exponents of
-    f_1 .. f_N; Kronecker orbits are exact rational walks.
+    f_1 .. f_N; Kronecker orbits are exact, on alpha's own dyadic lattice.
     """
     delta_f = check_delta(delta)
     check_orbit_length(N)
     if family.kind == "kronecker":
-        af = alpha.as_fraction()
-        step = af % 1
-        r = Fraction(0)
-        pts = []
-        for _ in range(N):
-            r = (r + step) % 1
-            pts.append(UnitPoint(r, 0.0))
-        return Orbit(family, alpha, delta_f, tuple(pts))
+        # alpha = num * 2^exp, so frac(n * alpha) is (n * num mod 2^E) / 2^E
+        # with E = -exp, and 0 for an integer alpha (exp >= 0)
+        E = max(0, -alpha.exp)
+        mask = (1 << E) - 1
+        nums = tuple((n * alpha.num) & mask for n in range(1, N + 1))
+        return Orbit(family, alpha, delta_f,
+                     LatticePoints(nums, 1 << E, (0.0,) * N))
     exps = [_exponent(family, n) for n in range(1, N + 1)]
     points = frac_walk(alpha, exps, delta_f, geometric=family.kind == "geomsum")
     return Orbit(family, alpha, delta_f, points)

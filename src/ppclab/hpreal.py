@@ -11,12 +11,17 @@ rounding modes, no library-version drift.
 Layers:
 
   _mul           -- the one exact multiply of mantissas (MUL_BACKEND names it)
-  int_pow        -- x^d of an int, by square-and-multiply over _mul
+  int_pow        -- x^d of an int, by square-and-multiply over _mul, within
+                    PREC_BUDGET_BITS
   ExactReal      -- canonical dyadic rational (odd mantissa * 2^exp)
   round_alpha    -- an exact rational to alpha on the 2^-ALPHA_BITS grid
   Ball           -- midpoint/radius enclosure at a given working precision
   UnitPoint      -- a point of [0,1) with a certified circle-metric error
-  frac_walk      -- frac(alpha^e) along increasing exponents, one ball walk
+  LatticePoints  -- points of [0,1) as integer numerators over one
+                    denominator, with their errors; UnitPoints on access
+  frac_point     -- frac of a ball as a numerator over 2^keep and its error
+  frac_walk      -- frac(alpha^e) along increasing exponents, one ball walk,
+                    born on the lattice 2^-keep
   pow_frac       -- frac(alpha^d), the one-exponent walk
 
 Precision policy: frac_walk is the one planner.  It splits the exponents
@@ -44,12 +49,14 @@ import ctypes
 import math
 import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
-# Largest working precision a plan may ask for: 2^30 mantissa bits, 128 MiB
-# per operand.  The largest plan any test or workload uses is ~3.6 Mbit.
+# Largest working precision a plan may ask for, and largest exact power
+# int_pow may take: 2^30 bits, 128 MiB per operand.  The largest plan any
+# test or workload uses is ~3.6 Mbit, and the largest exact power ~1.7 Mbit.
 PREC_BUDGET_BITS = 1 << 30
 
 # Fractional bits of the grid that every alpha is rounded to (round_alpha).
@@ -299,14 +306,17 @@ def required_precision(d: int, alpha_upper, delta, mults: int) -> int:
         magnitude = math.inf
     prec = magnitude + _ceil_log2_inv(Fraction(delta)) + mults.bit_length() + 16
     if prec > PREC_BUDGET_BITS:
-        # str() of an int beyond 4300 digits raises ValueError
-        shown = (str(d) if d.bit_length() <= 1000
-                 else "above 2^%d" % (d.bit_length() - 1))
         raise PrecisionOverflow(
             "degree %s at alpha_upper %g needs %g mantissa bits (budget %d)"
-            % (shown, au, prec, PREC_BUDGET_BITS)
+            % (_shown(d), au, prec, PREC_BUDGET_BITS)
         )
     return prec
+
+
+def _shown(d: int) -> str:
+    # a degree for a message: str() of an int beyond 4300 digits raises
+    # ValueError, so past 1000 bits it is named by its bit size
+    return str(d) if d.bit_length() <= 1000 else "above 2^%d" % (d.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +393,17 @@ _mul, MUL_BACKEND = _select_mul()
 
 def int_pow(x: int, d: int) -> int:
     """x^d, d >= 0, by square-and-multiply over _mul as in ball_pow; below
-    _GMP_LARGER_BITS bits, where _mul keeps to CPython's int, it is x ** d."""
-    if d * x.bit_length() < _GMP_LARGER_BITS:
+    _GMP_LARGER_BITS bits, where _mul keeps to CPython's int, it is x ** d.
+
+    x^d has at most d*bits(x) bits; past PREC_BUDGET_BITS, the operand
+    budget of the walk too, PrecisionOverflow is raised before any multiply.
+    """
+    bits = d * x.bit_length()
+    if bits > PREC_BUDGET_BITS:
+        raise PrecisionOverflow(
+            "exact power of degree %s of a %d-bit integer exceeds %d bits"
+            % (_shown(d), x.bit_length(), PREC_BUDGET_BITS))
+    if bits < _GMP_LARGER_BITS:
         return x**d
     result = x
     for i in range(d.bit_length() - 2, -1, -1):
@@ -517,11 +536,31 @@ class UnitPoint:
             raise ValueError("error must be >= 0")
 
 
+@dataclass(frozen=True)
+class LatticePoints(Sequence):
+    """Points of [0,1) on one lattice: point i is nums[i]/den, with the
+    certified error errors[i].  A sequence of UnitPoints, each built on
+    access; a slice is a LatticePoints."""
+
+    nums: tuple[int, ...]
+    den: int
+    errors: tuple[float, ...]
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return LatticePoints(self.nums[i], self.den, self.errors[i])
+        return UnitPoint(Fraction(self.nums[i], self.den), self.errors[i])
+
+
 # frac_point's constants for the last tolerance it was given: (delta as
 # passed, delta as a Fraction, the fractional bits a point keeps, delta
 # rounded to a float).  Holding the delta object keeps its identity from
 # being reused.  A memo rather than a parameter, so frac_point keeps the
-# (ball, delta) call that bench/tracing.py and tests wrap by name.
+# (ball, delta) call that bench/tracing.py and tests wrap by name; frac_walk
+# reads its lattice denominator 2^keep from the same memo.
 _last_tolerance = (None, None, 0, 0.0)
 
 
@@ -535,36 +574,35 @@ def _tolerance(delta) -> tuple[object, Fraction, int, float]:
     return tol
 
 
-def frac_point(ball: Ball, delta) -> UnitPoint:
-    """Extract frac(value) from an enclosure, certified to delta.
+def frac_point(ball: Ball, delta) -> tuple[int, float]:
+    """Extract frac(value) from an enclosure, certified to delta, as
+    (num, err): the point num/2^keep lies within err <= delta of it.
 
     Raises IndeterminateFrac when the enclosure is too wide to pin the
-    fractional part to the tolerance.  The stored value keeps only enough
-    fractional bits for the tolerance plus slack; the truncation is folded
-    into the reported error.  A walk passes the same delta to every point,
-    so its constants are derived once per walk (_tolerance).
+    fractional part to the tolerance.  The point keeps only keep fractional
+    bits, enough for the tolerance plus slack; the truncation is folded into
+    the reported error.  A walk passes the same delta to every point, so its
+    constants, keep among them, are derived once per walk (_tolerance).
     """
     _, delta_f, keep, delta_float = _tolerance(delta)
     if ball.man < 0:
         raise ValueError("fractional-part extraction expects a nonnegative value")
     rad = ball.rad
+    drop = -ball.exp - keep  # fractional bits below the kept ones
     if ball.exp >= 0:
-        value = Fraction(0)
+        num = 0
+    elif drop > 0:
+        num = (ball.man >> drop) & ((1 << keep) - 1)
+        rad = _r_add(rad, (1, -keep))
     else:
-        fbits = -ball.exp
-        fman = ball.man & ((1 << fbits) - 1)
-        if fbits > keep:
-            fman >>= fbits - keep
-            fbits = keep
-            rad = _r_add(rad, (1, -keep))
-        value = Fraction(fman, 1 << fbits)
+        num = (ball.man & ((1 << -ball.exp) - 1)) << -drop
     if not _r_leq(rad, delta_f):
         raise IndeterminateFrac(
             "enclosure radius %s exceeds tolerance %s" % (_r_float(rad), delta_float)
         )
     # the outward float nudge may overshoot the (already verified) bound;
     # rounding is monotone, so this clamps err exactly where it exceeds delta_f
-    return UnitPoint(value, min(_r_float(rad), delta_float))
+    return num, min(_r_float(rad), delta_float)
 
 
 def _steps(exps):
@@ -585,9 +623,9 @@ def _steps(exps):
 
 
 def _walk(base: Ball, exps, am1: ExactReal | None, prec: int,
-          delta_f: Fraction, first: int) -> list[UnitPoint]:
+          delta_f: Fraction, first: int) -> list[tuple[int, float]]:
     running = gap_power = Ball(1, 0)
-    out: list[UnitPoint] = []
+    out: list[tuple[int, float]] = []
     for i, (keep, fresh) in enumerate(_steps(exps)):
         if fresh:
             step = ball_pow(base, fresh, prec)
@@ -664,8 +702,9 @@ def _plan(alpha: ExactReal, exps, delta_f: Fraction,
 
 
 def frac_walk(alpha: ExactReal, exps, delta,
-              geometric: bool = False) -> tuple[UnitPoint, ...]:
-    """frac(alpha^e) for each e of a strictly increasing exponent list.
+              geometric: bool = False) -> LatticePoints:
+    """frac(alpha^e) for each e of a strictly increasing exponent list, as
+    points over 2^keep, keep the fractional bits frac_point keeps for delta.
 
     With `geometric` the points are frac((alpha^e - 1)/(alpha - 1)) instead,
     i.e. of 1 + alpha + ... + alpha^(e-1).  The exponents are walked in
@@ -689,14 +728,15 @@ def frac_walk(alpha: ExactReal, exps, delta,
     if geometric:
         am1 = ExactReal.from_fraction(alpha.as_fraction() - 1)
     base = Ball.from_exact(alpha)
-    out: list[UnitPoint] = []
+    out: list[tuple[int, float]] = []
     for start, stop, prec in _plan(alpha, exps, delta_f, geometric):
         seg = exps[start:stop]
         try:
             out += _walk(base, seg, am1, prec, delta_f, start)
         except IndeterminateFrac:
             out += _walk(base, seg, am1, 2 * prec, delta_f, start)
-    return tuple(out)
+    nums, errors = zip(*out)
+    return LatticePoints(nums, 1 << _tolerance(delta_f)[2], errors)
 
 
 def pow_frac(alpha: ExactReal, d: int, delta) -> UnitPoint:

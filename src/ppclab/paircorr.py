@@ -1,11 +1,14 @@
 """Pair correlations, discrepancy and gap statistics on circle point sets.
 
-Counting is exact: point values are rationals, so every comparison against the
-threshold s/N is decided by integer arithmetic on a common denominator
-lattice.  The production counter makes one bisection per point over the
-sorted lattice, O(N log N); `naive_pair_count` keeps the O(N^2) enumeration
-available as an independent audit route, and the two must agree exactly on
-every input.
+Counting is exact: every statistic reads the points as integer numerators
+over one common denominator (hpreal.LatticePoints), so every comparison
+against the threshold s/N is decided by integer arithmetic.  Orbits are born
+on that lattice, so for them it costs one sort; any other sequence of
+UnitPoints, read_points' among them, is put on the lcm of its denominators
+once (lattice_points).  The production counter makes one bisection per point
+over the sorted lattice, O(N log N); `naive_pair_count` keeps the O(N^2)
+enumeration available as an independent audit route, and the two must agree
+exactly on every input.
 
 The resolution policy of an orbit's pair statistic lives here: the default
 point error budget min(2^-40, s/(200 N)), the rule delta <= s/(100 N) checked
@@ -32,8 +35,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ppclab.families import SequenceFamily, check_orbit_length, orbit
-from ppclab.hpreal import (ExactReal, UnitPoint, check_delta, check_float,
-                           check_literal)
+from ppclab.hpreal import (ExactReal, LatticePoints, UnitPoint, check_delta,
+                           check_float, check_literal)
 
 
 class TooBlurry(ValueError):
@@ -62,16 +65,26 @@ def _as_fraction_s(s) -> Fraction:
     return s_frac
 
 
-def _lattice(points: Sequence[UnitPoint]) -> tuple[list[int], int]:
-    # embed all values into Z/L for a common denominator L, sorted; the one
-    # rule that a point set is nonempty
-    if not points:
-        raise ValueError("points must be nonempty")
+def lattice_points(points: Sequence[UnitPoint]) -> LatticePoints:
+    """The points on one lattice: a LatticePoints as it is, any other
+    sequence over the lcm L of its denominators."""
+    if isinstance(points, LatticePoints):
+        return points
     L = 1
     for p in points:
         L = math.lcm(L, p.value.denominator)
-    return sorted(p.value.numerator * (L // p.value.denominator)
-                  for p in points), L
+    return LatticePoints(
+        tuple(p.value.numerator * (L // p.value.denominator) for p in points),
+        L, tuple(p.error for p in points))
+
+
+def _lattice(points: Sequence[UnitPoint]) -> tuple[LatticePoints, list[int]]:
+    # the points on their lattice, and its numerators sorted; the one rule
+    # that a point set is nonempty
+    lat = lattice_points(points)
+    if not lat:
+        raise ValueError("points must be nonempty")
+    return lat, sorted(lat.nums)
 
 
 def _counting_lattice(points: Sequence[UnitPoint],
@@ -84,11 +97,11 @@ def _counting_lattice(points: Sequence[UnitPoint],
     point blur cannot move a pair across the threshold undetected at the
     reported resolution.
     """
-    us, L = _lattice(points)
-    N = len(us)
+    lat, us = _lattice(points)
+    N, L = len(us), lat.den
     s_frac = _as_fraction_s(s)
     bound = s_frac / (100 * N)
-    worst = max(p.error for p in points)
+    worst = max(lat.errors)
     if Fraction(worst) > bound:
         raise TooBlurry("max point error %.3g exceeds s/(100*N) = %.3g"
                         % (worst, bound))
@@ -175,8 +188,8 @@ def star_discrepancy(points: Sequence[UnitPoint]) -> DiscrepancyResult:
     """D*_N = max_i max(i/N - x_(i), x_(i) - (i-1)/N), computed exactly on
     the integer lattice: with x = u/L it is max(i*L - N*u, N*u - (i-1)*L)
     over N*L."""
-    us, L = _lattice(points)
-    N = len(us)
+    lat, us = _lattice(points)
+    N, L = len(us), lat.den
     worst = max(max(i * L - N * u, N * u - (i - 1) * L)
                 for i, u in enumerate(us, start=1))
     return DiscrepancyResult(N, float(Fraction(worst, N * L)))
@@ -184,7 +197,8 @@ def star_discrepancy(points: Sequence[UnitPoint]) -> DiscrepancyResult:
 
 def gap_spectrum(points: Sequence[UnitPoint]) -> list[Fraction]:
     """Sorted circular gaps between consecutive points; sums to 1 exactly."""
-    us, L = _lattice(points)
+    lat, us = _lattice(points)
+    L = lat.den
     gaps = sorted([b - a for a, b in zip(us, us[1:])] + [L - us[-1] + us[0]])
     return [Fraction(gap, L) for gap in gaps]
 
@@ -196,25 +210,24 @@ def gap_spectrum(points: Sequence[UnitPoint]) -> list[Fraction]:
 _HEADER_RE = re.compile(r"# ppc-points v1 N=([0-9]+)\Z")
 
 
-def format_point(value: Fraction) -> str:
-    """Decimal form with 30 significant digits (exact when it fits)."""
-    with localcontext() as ctx:
-        ctx.prec = 30
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-        # strip trailing zeros so parse/re-serialize is byte-stable
-        return str(d.normalize())
-
-
 def points_text(points: Sequence[UnitPoint], comments: Iterable[str] = ()) -> str:
-    lines = ["# ppc-points v1 N=%d" % len(points)]
+    """The ppc-points v1 text: each point in decimal with 30 significant
+    digits (exact when it fits), trailing zeros stripped so that reading and
+    writing it again is byte-stable."""
+    lat = lattice_points(points)
+    lines = ["# ppc-points v1 N=%d" % len(lat)]
     for c in comments:
         lines.append("# %s" % c)
-    lines.extend(format_point(p.value) for p in points)
+    with localcontext() as ctx:
+        ctx.prec = 30
+        den = Decimal(lat.den)
+        lines.extend(str((Decimal(num) / den).normalize()) for num in lat.nums)
     return "\n".join(lines) + "\n"
 
 
-def read_points(path) -> list[UnitPoint]:
-    """Parse a ppc-points v1 file; values are exact decimals with error 0.
+def read_points(path) -> LatticePoints:
+    """Parse a ppc-points v1 file; values are exact decimals with error 0,
+    put on the lcm of their denominators (lattice_points).
 
     The header's N must pass the orbit cap before any point line is read,
     and the file is refused at the first point line past that N.
@@ -246,4 +259,4 @@ def read_points(path) -> list[UnitPoint]:
         raise ValueError(
             "header declares N=%d but file holds %d points" % (n_declared, len(points))
         )
-    return points
+    return lattice_points(points)

@@ -9,7 +9,9 @@ the unit of parallelism; the reduction always runs in ascending node order,
 which makes the result identical for any thread count.
 
 The random mode draws nodes with SplitMix64 so runs are reproducible across
-machines and languages from the 64-bit seed alone.
+machines and languages from the 64-bit seed alone.  Floats are reduced left
+to right (float_sum), so V(N) and its fit do not depend on the Python
+version.
 """
 
 from __future__ import annotations
@@ -82,6 +84,15 @@ class SecondMomentSeries:
     entries: tuple[tuple[int, float, tuple[float, ...]], ...]
     fitted_exponent: float | None
     fitted_log_constant: float | None
+
+
+def float_sum(values) -> float:
+    """The floats summed one by one from the left, the same on every Python:
+    sum() of floats is compensated (Neumaier) from Python 3.12 on."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def quadrature_nodes(interval: IntervalSpec, quad: QuadratureSpec) -> list[Fraction]:
@@ -166,7 +177,8 @@ def second_moment_series(family: SequenceFamily, interval: IntervalSpec, s,
     for j, n in enumerate(n_sorted):
         node_values = tuple(columns[i][j] for i in range(quad.K))
         try:
-            v = width / quad.K * sum((stat - two_s) ** 2 for stat in node_values)
+            v = width / quad.K * float_sum((stat - two_s) ** 2
+                                           for stat in node_values)
         except OverflowError:  # a square past the float range
             v = math.inf
         if not math.isfinite(v):  # or a sum of finite squares past it
@@ -191,12 +203,12 @@ def decay_fit(entries: Sequence[tuple[int, float]]) -> tuple[float, float]:
             raise ValueError("nonpositive V at index %d" % i)
         xs.append(math.log(n))
         ys.append(math.log(v))
-    x_bar = sum(xs) / len(xs)
-    y_bar = sum(ys) / len(ys)
-    sxx = sum((x - x_bar) ** 2 for x in xs)
+    x_bar = float_sum(xs) / len(xs)
+    y_bar = float_sum(ys) / len(ys)
+    sxx = float_sum((x - x_bar) ** 2 for x in xs)
     if sxx == 0:
         raise ValueError("need at least two distinct N values")
-    sxy = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
+    sxy = float_sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys))
     slope = sxy / sxx
     return slope, y_bar - slope * x_bar
 

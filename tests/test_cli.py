@@ -112,7 +112,15 @@ def test_orbit_precision_budget_is_precision_failure(capsys):
                   "--K", "16", "--threads", "1", "--format", "csv"],
                  ["second-moment", "--family", "linpow", "--a", "1.5",
                   "--b", "1.6", "--s", "5e153", "--N-list", "10,20,40",
-                  "--K", "16", "--threads", "1"]):
+                  "--K", "16", "--threads", "1"],
+                 # one level near 1 at any degree: an exact power past
+                 # PREC_BUDGET_BITS, refused before any multiply rather than
+                 # aborted inside GMP
+                 *(["measure", "--a", "1." + "0" * 29 + "1",
+                    "--b", "1." + "0" * 29 + "2", "--degree", degree,
+                    "--target-c", "0", "--target-d", "0.25"]
+                   for degree in ("100000000", "1000000000",
+                                  "1000000000000"))):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         lines = err.splitlines()
@@ -280,6 +288,28 @@ def test_measure_wrap_target(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["config"]["wrap"] is True
+
+
+def test_measure_near_1_past_the_operand_budget_runs_no_multiply(
+        monkeypatch, capsys):
+    # one level at any degree: the exact power is refused by its operand
+    # budget before the multiply seam sees it
+    import ppclab.families as fam
+
+    def never(a, b):
+        raise AssertionError("a multiply ran before the budget check")
+
+    monkeypatch.setattr(hpreal, "_mul", never)
+    monkeypatch.setattr(fam, "_mul", never)
+    for source in (["--degree", "100000000"],
+                   ["--family", "monomial:k=40", "--n1", "2", "--n2", "3"]):
+        code, out, err = run(capsys, "measure", "--a", "1." + "0" * 29 + "1",
+                             "--b", "1." + "0" * 29 + "2", *source,
+                             "--target-c", "0", "--target-d", "0.25")
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "precision"
+        assert "exceeds %d bits" % hpreal.PREC_BUDGET_BITS in doc["detail"]
 
 
 def test_measure_level_cap_is_numeric_failure(capsys):
@@ -701,7 +731,7 @@ def test_oversized_scans_are_rejected_before_any_work(monkeypatch, capsys,
     monkeypatch.setattr(hyp, "_condition1", never)
     monkeypatch.setattr(ms, "_iterations", never)
     monkeypatch.setattr(fam, "frac_walk", never)
-    monkeypatch.setattr(fam, "UnitPoint", never)  # the Kronecker walk
+    monkeypatch.setattr(fam, "LatticePoints", never)  # the Kronecker walk
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     usage_error(err)

@@ -218,7 +218,7 @@ def test_orbit_length_is_capped_before_any_work(monkeypatch, family):
     alpha = parse_alpha("1.5", 128)
     assert ORBIT_N_CAP >= 5000  # criterion 4's orbit
     monkeypatch.setattr(families, "frac_walk", never)
-    monkeypatch.setattr(families, "UnitPoint", never)  # the Kronecker walk
+    monkeypatch.setattr(families, "LatticePoints", never)  # the Kronecker walk
     for N in (ORBIT_N_CAP + 1, 100_000_000, 10**400):
         with pytest.raises(ValueError, match="N must be in"):
             orbit(family, alpha, N, DELTA)
@@ -229,6 +229,18 @@ def test_orbit_kronecker_exact_walk():
     af = alpha.as_fraction()
     orb = orbit(KRON, alpha, 25, DELTA)
     for n in range(1, 26):
+        assert orb.points[n - 1].value == (n * af) % 1
+        assert orb.points[n - 1].error == 0.0
+
+
+@pytest.mark.parametrize("text", ["2.75", "1234.56789", "3", "4"])
+def test_orbit_kronecker_past_2_and_at_integer_alpha(text):
+    # 3 and 4 are integers (exp >= 0), so every step is 0
+    alpha = parse_alpha(text, 128)
+    af = alpha.as_fraction()
+    orb = orbit(KRON, alpha, 40, DELTA)
+    assert (alpha.exp >= 0) == (af.denominator == 1)
+    for n in range(1, 41):
         assert orb.points[n - 1].value == (n * af) % 1
         assert orb.points[n - 1].error == 0.0
 
@@ -476,11 +488,14 @@ def test_gap_powers_are_reused_and_grown_inside_a_segment(monkeypatch, prec):
 
     monkeypatch.setattr(hpreal, "ball_pow", powered)
     exps = [1, 4, 9, 16, 20, 24, 28, 60]  # gaps 1, 3, 5, 7, 4, 4, 4, 32
-    points = hpreal._walk(base, exps, None, prec, Fraction(1, 4), 0)
+    delta = Fraction(1, 4)
+    walked = hpreal._walk(base, exps, None, prec, delta, 0)
     # 3 < 2*1 fails: fresh; 5 and 7 grow by alpha^2; 4 is fresh, then reused
     assert pows == [1, 3, 2, 2, 4, 32]
-    for e, got in zip(exps, points):
-        assert circle_dist(got.value, dyadic_frac_power(ALPHA18, e)) <= Fraction(got.error)
+    den = 1 << hpreal._tolerance(delta)[2]  # the walk's points are over 2^keep
+    for e, (num, err) in zip(exps, walked, strict=True):
+        got = Fraction(num, den)
+        assert circle_dist(got, dyadic_frac_power(ALPHA18, e)) <= Fraction(err)
 
 
 # ---------------------------------------------------------------------------

@@ -308,17 +308,18 @@ def test_frac_point_raises_when_radius_exceeds_delta():
 
 
 def _checked_frac_point(ball, delta):
-    """frac_point's value and error, computed from delta alone."""
+    """frac_point's numerator over 2^keep and error, computed from delta
+    alone."""
     delta = Fraction(delta)
     keep = max(64, math.ceil(math.log2(1 / delta)) + 32)
     frac = _mid(ball) % 1
-    value = Fraction(math.floor(frac * 2**keep), 2**keep)
+    num = math.floor(frac * 2**keep)
     truncated = -ball.exp > keep
     rad = hpreal._r_float(hpreal._r_add(ball.rad, (1, -keep)) if truncated
                           else ball.rad)
     if Fraction(rad) > delta:
         rad = float(delta)
-    return value, rad
+    return num, rad
 
 
 def test_frac_point_takes_each_call_its_own_tolerance():
@@ -329,18 +330,17 @@ def test_frac_point_takes_each_call_its_own_tolerance():
     mid = Ball((8 << 200) - 1, -200)  # 7 + (1 - 2^-200)
     wide = Ball(mid.man, mid.exp, (1, -50))  # radius between delta2 and delta1
     for delta in (delta1, Fraction(1, 2**10), 2.0**-10, 1e-9):
-        got = frac_point(wide, delta)
-        assert (got.value, got.error) == _checked_frac_point(wide, delta)
+        assert frac_point(wide, delta) == _checked_frac_point(wide, delta)
     for delta in (delta2, Fraction(1, 2**100), 2.0**-100):
         with pytest.raises(IndeterminateFrac):
             frac_point(wide, delta)
         got = frac_point(mid, delta)
-        assert (got.value, got.error) == _checked_frac_point(mid, delta)
-        assert got.value.denominator == 2**132
+        assert got == _checked_frac_point(mid, delta)
+        assert got[0] == 2**132 - 1  # 1 - 2^-200 kept to 132 bits
     # a radius right at delta: the float nudge is clamped to delta itself
     for delta in (Fraction(1, 2**30), 2.0**-30):
-        assert frac_point(Ball(1, -40, (1, -30)), delta).error == 2.0**-30
-    assert frac_point(mid, delta1).value.denominator == 2**64
+        assert frac_point(Ball(1, -40, (1, -30)), delta)[1] == 2.0**-30
+    assert frac_point(mid, delta1)[0] == 2**64 - 1
 
 
 def test_frac_point_error_is_the_radius_clamped_to_delta():
@@ -358,9 +358,9 @@ def test_frac_point_error_is_the_radius_clamped_to_delta():
             for man in (top, top - 1):
                 ball = Ball(1, -2, (man, e))
                 assert _radius(ball.rad) <= delta
-                got = frac_point(ball, delta)
-                assert got.error == _checked_frac_point(ball, delta)[1]
-                clamped += got.error == float(delta)
+                err = frac_point(ball, delta)[1]
+                assert err == _checked_frac_point(ball, delta)[1]
+                clamped += err == float(delta)
     assert clamped >= 100
 
 
@@ -442,3 +442,29 @@ def test_int_pow_is_the_power_on_both_sides_of_the_threshold(monkeypatch,
             calls.clear()
             assert hpreal.int_pow(x, d) == x**d, (x, d)
             assert bool(calls) == (d * bits >= T), (x, d)
+
+
+def test_int_pow_budget_boundary(monkeypatch):
+    # x^d has at most d*bits(x) bits: at the budget the power is taken,
+    # one bit past it PrecisionOverflow is raised
+    monkeypatch.setattr(hpreal, "PREC_BUDGET_BITS", 6000)
+    for x in (5, -5, 3**100):
+        d = 6000 // x.bit_length()
+        assert d * x.bit_length() <= 6000 < (d + 1) * x.bit_length()
+        assert hpreal.int_pow(x, d) == x**d
+        with pytest.raises(PrecisionOverflow, match="exceeds 6000 bits"):
+            hpreal.int_pow(x, d + 1)
+
+
+def test_int_pow_past_the_budget_runs_no_multiply(monkeypatch):
+    def never(a, b):
+        raise AssertionError("a multiply ran before the budget check")
+
+    monkeypatch.setattr(hpreal, "_mul", never)
+    budget = hpreal.PREC_BUDGET_BITS
+    for x, d in ((3, budget // 2 + 1), (2**100 + 1, 10**8), (7, 10**12)):
+        with pytest.raises(PrecisionOverflow, match="of degree %d of a " % d):
+            hpreal.int_pow(x, d)
+    # a degree past 1000 bits is named by its bit size
+    with pytest.raises(PrecisionOverflow, match=r"degree above 2\^2000 "):
+        hpreal.int_pow(3, 1 << 2000)

@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppclab import paircorr
 from ppclab.families import parse_family, orbit
-from ppclab.hpreal import UnitPoint, parse_alpha
+from ppclab.hpreal import (ALPHA_BITS, LatticePoints, UnitPoint, parse_alpha,
+                           round_alpha)
 from ppclab.paircorr import (
     TooBlurry,
     check_resolution,
     default_delta,
     gap_spectrum,
+    lattice_points,
     naive_pair_count,
     pair_count,
     points_text,
@@ -123,6 +127,54 @@ def test_pair_count_matches_naive_on_kronecker_orbit():
     orb = orbit(fam, alpha, 120, 2**-40)
     for s in (Fraction(1, 10), Fraction(17, 10), Fraction(3)):
         assert pair_count(orb.points, s).ordered_count == naive_pair_count(orb.points, s)
+
+
+# ---------------------------------------------------------------------------
+# orbits on their lattice, plain UnitPoint lists on the lcm of theirs
+# ---------------------------------------------------------------------------
+
+_LATTICE_FAMILIES = ("monomial:k=2", "geomsum:k=1", "linpow", "factorial",
+                     "kronecker")
+
+
+@st.composite
+def orbit_cases(draw):
+    """(family, alpha, N): alpha drawn from a seed on the 2^-40 grid in
+    (1, 4), N <= 8 for factorial and <= 24 otherwise."""
+    spec = draw(st.sampled_from(_LATTICE_FAMILIES))
+    alpha = round_alpha(1 + Fraction(draw(st.integers(1, 3 << 40)), 1 << 40),
+                        ALPHA_BITS)
+    N = draw(st.integers(1, 8 if spec == "factorial" else 24))
+    return parse_family(spec), alpha, N
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(orbit_cases(),
+       st.sampled_from([Fraction(1, 10), Fraction(1), Fraction(7, 3),
+                        Fraction(40)]))
+def test_orbit_lattice_and_its_plain_copy_give_the_same_statistics(case, s):
+    family, alpha, N = case
+    orb = orbit(family, alpha, N, default_delta(None, N))
+    for n in range(1, N + 1):
+        lat = orb.points[:n]
+        plain = [UnitPoint(p.value, p.error) for p in lat]
+        assert isinstance(lat, LatticePoints) and len(lat) == n
+        assert lattice_points(lat) is lat
+        assert pair_count(lat, s) == pair_count(plain, s)
+        assert naive_pair_count(lat, s) == naive_pair_count(plain, s)
+        assert star_discrepancy(lat) == star_discrepancy(plain)
+        assert gap_spectrum(lat) == gap_spectrum(plain)
+        assert points_text(lat, ["c"]) == points_text(plain, ["c"])
+
+
+def test_lattice_points_are_unit_points_on_access():
+    lat = lattice_points(pts([Fraction(1, 4), Fraction(1, 6), Fraction(1, 3)],
+                             error=1e-9))
+    assert (lat.nums, lat.den, lat.errors) == ((3, 2, 4), 12, (1e-9,) * 3)
+    assert lat[1] == UnitPoint(Fraction(1, 6), 1e-9)
+    assert list(lat) == pts([Fraction(1, 4), Fraction(1, 6), Fraction(1, 3)],
+                            error=1e-9)
+    assert lat[::2] == LatticePoints((3, 4), 12, (1e-9, 1e-9))
 
 
 # ---------------------------------------------------------------------------

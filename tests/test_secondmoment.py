@@ -1,7 +1,9 @@
 """Tests for the second-moment variance series and its quadrature plumbing."""
 
+import functools
 import json
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -90,6 +92,38 @@ def test_random_nodes_seeded_and_in_range():
     assert nodes[0] == interval.a + width * Fraction(draws[0] >> 11, 2**53)
 
 
+def test_float_sum_is_left_to_right():
+    from ppclab.secondmoment import float_sum
+
+    # compensated sums (sum() of floats from Python 3.12 on, math.fsum) give
+    # 1.0 and 2.0 here
+    values = [0.1] * 10
+    assert math.fsum(values) == 1.0
+    assert float_sum(values) == 0.9999999999999999
+    assert float_sum(iter([1.0, 1e100, 1.0, -1e100])) == 0.0
+    assert float_sum([]) == 0.0
+
+
+def test_v_and_its_fit_are_reduced_left_to_right(monkeypatch):
+    # node statistics whose squares sum differently left to right and
+    # compensated; the pinned V(N) and fit are the left-to-right ones, and
+    # Python 3.12's sum() gives 0.18960000000000002, 0.1567, 0.1704
+    import ppclab.secondmoment as sm
+
+    columns = [[1.8, 0.0, 1.15], [0.0, 1.4, 0.5], [1.0, 1.1, 0.9],
+               [1.8, 0.3, 1.4], [0.6, 1.3, 0.65], [0.2, 0.1, 0.15],
+               [0.0, 0.5, 1.9], [0.4, 1.9, 0.1], [1.6, 1.5, 1.85],
+               [0.6, 1.0, 0.1]]
+    monkeypatch.setattr(sm, "_run_nodes", lambda *args: columns)
+    series = second_moment_series(parse_family("linpow"),
+                                  IntervalSpec("1.5", "1.6"), 1, [10, 20, 40],
+                                  QuadratureSpec("midpoint", 10))
+    assert [v for _, v, _ in series.entries] == [
+        0.18960000000000005, 0.15669999999999998, 0.17040000000000002]
+    assert series.fitted_exponent == -0.0770168143362104
+    assert series.fitted_log_constant == -1.531234071476132
+
+
 def test_decay_fit_exact_inverse_law():
     slope, intercept = decay_fit([(100, 0.01), (200, 0.005), (400, 0.0025)])
     assert slope == pytest.approx(-1.0, abs=1e-12)
@@ -141,7 +175,9 @@ def test_variance_formula_matches_direct_recomputation():
     width = float(interval.b - interval.a)
     for j, (n, v, node_values) in enumerate(series.entries):
         assert node_values == tuple(stats[i][j] for i in range(3))
-        assert v == width / 3 * sum((x - 2.0) ** 2 for x in node_values)
+        # summed left to right, as sum() did before Python 3.12
+        squares = [(x - 2.0) ** 2 for x in node_values]
+        assert v == width / 3 * functools.reduce(operator.add, squares, 0.0)
 
 
 def test_nodes_reach_alpha_without_text(monkeypatch):
