@@ -131,6 +131,21 @@ def _r_add(r1: tuple[int, int], r2: tuple[int, int]) -> tuple[int, int]:
     return _r_norm((m1 << gap) + m2, e2)
 
 
+def _r_add_pow2(r: tuple[int, int], e: int) -> tuple[int, int]:
+    # _r_add(r, (1, e)) without building the tuple, branch for branch: the
+    # gap > 64 absorption keeps its exponent-dependent result
+    m1, e1 = r
+    if m1 == 0:
+        return (1, e)
+    if e1 < e:
+        if e - e1 > 64:
+            return (2, e)
+        return _r_norm((1 << (e - e1)) + m1, e1)
+    if e1 - e > 64:
+        return _r_norm(m1 + 1, e1)
+    return _r_norm((m1 << (e1 - e)) + 1, e)
+
+
 def _r_mul(r1: tuple[int, int], r2: tuple[int, int]) -> tuple[int, int]:
     m1, e1 = r1
     m2, e2 = r2
@@ -421,19 +436,25 @@ def int_pow(x: int, d: int) -> int:
 class Ball:
     """Enclosure: true value lies in [man*2^exp - rad, man*2^exp + rad]."""
 
-    __slots__ = ("man", "exp", "rad")
+    __slots__ = ("man", "exp", "rad", "_mag")
 
     def __init__(self, man: int, exp: int, rad: tuple[int, int] = _R_ZERO):
         self.man = man
         self.exp = exp
         self.rad = rad
+        self._mag = None
 
     @classmethod
     def from_exact(cls, x: ExactReal) -> "Ball":
         return cls(x.num, x.exp)
 
     def magnitude_upper(self) -> tuple[int, int]:
-        return _r_norm(abs(self.man), self.exp)
+        # |man|*2^exp as a radius, once per ball: a walk multiplies by the
+        # same gap power at every step, and no ball is changed after it is made
+        mag = self._mag
+        if mag is None:
+            mag = self._mag = _r_norm(abs(self.man), self.exp)
+        return mag
 
 
 def _rounded(man: int, exp: int, rad: tuple[int, int], prec: int) -> Ball:
@@ -450,7 +471,7 @@ def _rounded(man: int, exp: int, rad: tuple[int, int], prec: int) -> Ball:
         half = 1 << (sh - 1)
         if rem > half or (rem == half and (a & 1)):
             a += 1
-        rad = _r_add(rad, (1, exp + sh - 1))
+        rad = _r_add_pow2(rad, exp + sh - 1)
     exp += sh
     if a and not (a & 1):
         tz = (a & -a).bit_length() - 1
@@ -593,7 +614,7 @@ def frac_point(ball: Ball, delta) -> tuple[int, float]:
         num = 0
     elif drop > 0:
         num = (ball.man >> drop) & ((1 << keep) - 1)
-        rad = _r_add(rad, (1, -keep))
+        rad = _r_add_pow2(rad, -keep)
     else:
         num = (ball.man & ((1 << -ball.exp) - 1)) << -drop
     if not _r_leq(rad, delta_f):

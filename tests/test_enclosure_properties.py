@@ -15,11 +15,18 @@ from ppclab.families import degree, orbit, parse_family
 from ppclab.hpreal import (
     Ball,
     ExactReal,
+    IndeterminateFrac,
+    _R_ZERO,
+    _ceil_log2_inv,
     _r_add,
+    _r_float,
+    _r_leq,
+    _r_mul,
     _r_norm,
     ball_div_exact,
     ball_mul,
     ball_sub_int,
+    frac_point,
     frac_walk,
 )
 
@@ -141,6 +148,134 @@ def test_ball_div_exact_encloses_quotients(xb, num, exp, prec):
 def test_radius_sum_is_an_upper_bound(m1, e1, m2, e2):
     r1, r2 = _r_norm(m1, e1), _r_norm(m2, e2)
     assert _radius(_r_add(r1, r2)) >= _radius(r1) + _radius(r2)
+
+
+# ---------------------------------------------------------------------------
+# radius fast paths against the plain composition of the radius helpers
+# ---------------------------------------------------------------------------
+
+def _ref_rounded(man, exp, rad, prec):
+    """_rounded through _r_add, as (man, exp, rad)."""
+    neg = man < 0
+    a = -man if neg else man
+    sh = a.bit_length() - prec
+    if sh <= 0:
+        return man, exp, rad
+    rem = a & ((1 << sh) - 1)
+    a >>= sh
+    if rem:
+        half = 1 << (sh - 1)
+        if rem > half or (rem == half and (a & 1)):
+            a += 1
+        rad = _r_add(rad, (1, exp + sh - 1))
+    exp += sh
+    if a and not (a & 1):
+        tz = (a & -a).bit_length() - 1
+        a >>= tz
+        exp += tz
+    return -a if neg else a, exp, rad
+
+
+def _ref_ball_mul(x, y, prec):
+    """ball_mul through _r_norm, _r_mul and _r_add, with no memo."""
+    mx, my = _r_norm(abs(x.man), x.exp), _r_norm(abs(y.man), y.exp)
+    if x.rad[0] and y.rad[0]:
+        rad = _r_add(_r_mul(mx, y.rad), _r_mul(my, x.rad))
+        rad = _r_add(rad, _r_mul(x.rad, y.rad))
+    elif x.rad[0]:
+        rad = _r_mul(my, x.rad)
+    elif y.rad[0]:
+        rad = _r_mul(mx, y.rad)
+    else:
+        rad = _R_ZERO
+    return _ref_rounded(x.man * y.man, x.exp + y.exp, rad, prec)
+
+
+def _ref_frac_point(ball, delta):
+    """frac_point through _r_add, _r_leq and _r_float; None where it
+    raises IndeterminateFrac."""
+    keep = max(64, _ceil_log2_inv(delta) + 32)
+    rad = ball.rad
+    drop = -ball.exp - keep
+    if ball.exp >= 0:
+        num = 0
+    elif drop > 0:
+        num = (ball.man >> drop) & ((1 << keep) - 1)
+        rad = _r_add(rad, (1, -keep))
+    else:
+        num = (ball.man & ((1 << -ball.exp) - 1)) << -drop
+    if not _r_leq(rad, delta):
+        return None
+    return num, min(_r_float(rad), float(delta))
+
+
+def _triple(ball):
+    return ball.man, ball.exp, ball.rad
+
+
+# radius exponents at a gap of -100..100 from a reference exponent, so that
+# _r_add's absorption (gap > 64) is reached from both sides; mantissas are
+# zero, short, or at and past _r_norm's 32 bits
+gaps = st.integers(-100, 100) | st.sampled_from((-66, -65, -64, 63, 64, 65))
+rad_mans = st.just(0) | st.integers(1, 8) | st.integers(1, 1 << 34)
+
+
+def _radius_near(draw, e: int) -> tuple[int, int]:
+    man = draw(rad_mans)
+    return _R_ZERO if man == 0 else (man, e + draw(gaps))
+
+
+@_BALL
+@given(st.integers(-(1 << 300), 1 << 300), st.integers(-300, 300),
+       st.data(), precisions)
+def test_rounded_matches_the_radius_helpers(man, exp, data, prec):
+    # the half ulp is 2^(exp + sh - 1), sh the bits dropped
+    sh = max(1, abs(man).bit_length() - prec)
+    rad = _radius_near(data.draw, exp + sh - 1)
+    assert _triple(hpreal._rounded(man, exp, rad, prec)) == _ref_rounded(
+        man, exp, rad, prec)
+
+
+@st.composite
+def balls_near(draw) -> Ball:
+    """A ball of either sign whose radius is zero or lies within a factor
+    2^100 of its mantissa's unit 2^exp."""
+    man = draw(st.integers(-(1 << 200), 1 << 200))
+    exp = draw(st.integers(-300, 300))
+    return Ball(man, exp, _radius_near(draw, exp))
+
+
+@_BALL
+@given(balls_near(), balls_near(), precisions)
+def test_ball_mul_matches_the_radius_helpers(x, y, prec):
+    want = _ref_ball_mul(x, y, prec)
+    # twice: the second product reads both magnitudes from the memo
+    assert _triple(ball_mul(x, y, prec)) == want
+    assert _triple(ball_mul(x, y, prec)) == want
+
+
+@_BALL
+@given(st.integers(0, 1 << 300), st.integers(-400, 10), st.integers(10, 200),
+       st.data())
+def test_frac_point_matches_the_radius_helpers(man, exp, k, data):
+    delta = Fraction(1, 3 << k)
+    keep = max(64, _ceil_log2_inv(delta) + 32)
+    # near the truncation's 2^-keep; from k = 30 on, a 32-bit radius there
+    # is also next to delta
+    ball = Ball(man, exp, _radius_near(data.draw, -keep))
+    want = _ref_frac_point(ball, delta)
+    try:
+        got = frac_point(ball, delta)
+    except IndeterminateFrac:
+        got = None
+    assert got == want
+
+
+@_BALL
+@given(st.integers(0, 1 << 34), st.integers(-400, 400), gaps)
+def test_radius_add_of_a_power_of_two_is_r_add(man, e, gap):
+    r = _r_norm(man, e + gap)
+    assert hpreal._r_add_pow2(r, e) == _r_add(r, (1, e))
 
 
 # the seam is the libgmp route wherever the library loads, else plain *

@@ -21,6 +21,7 @@ from ppclab.hypothesis import (
     _condition2,
     _condition5,
     _constants,
+    _scan_violations,
     check_hypotheses,
     condition5_lhs,
     report_to_json,
@@ -210,6 +211,42 @@ def test_condition5_base_invariance():
                 - math.log2(d2 * (growth - 1)))
         base2 = lhs2 <= -3 * math.log2(n2)
         assert nat == base2
+
+
+def _plain_scan(family, C, a, n2_max):
+    """_scan_violations as a double loop over the public condition5_lhs."""
+    worst_gap, witness, last_bad = -math.inf, None, 0
+    for n1 in range(1, n2_max):
+        for n2 in range(n1 + 1, n2_max + 1):
+            d1, d2 = degree(family, n1), degree(family, n2)
+            lhs = condition5_lhs(d1, d2, C, a)
+            rhs = -3.0 * math.log(n2)
+            if lhs > rhs:
+                last_bad = n1
+                if lhs - rhs > worst_gap:
+                    worst_gap = lhs - rhs
+                    witness = {"n1": n1, "n2": n2, "d1": d1, "d2": d2,
+                               "lhs": lhs, "rhs": rhs, "C": C, "a": a}
+    return last_bad, witness
+
+
+@pytest.mark.parametrize("spec, n2_max, C, a, last_bad", [
+    ("linpow", 60, 1.01, 1e6, 0),
+    ("linpow", 60, 1.01, 1.0001, 59),
+    ("monomial:k=2", 60, 1.01, 1.5, 0),
+    ("monomial:k=2", 60, 100.0, 1.5, 12),
+    ("monomial:k=2", 60, 1.01, 1.0001, 59),
+    ("factorial", 20, 1.01, 10.0, 0),
+    ("factorial", 20, 100.0, 1.5, 4),
+    ("geomsum:k=1", 60, 1.01, 1e6, 0),
+    ("geomsum:k=1", 60, 1.01, 1.0001, 59),
+])
+def test_scan_is_the_plain_double_loop(spec, n2_max, C, a, last_bad):
+    # the same last_bad and witness, floats compared with ==
+    family = parse_family(spec)
+    got = _scan_violations(family, C, a, n2_max)
+    assert got == _plain_scan(family, C, a, n2_max)
+    assert got[0] == last_bad
 
 
 def test_find_n1_monomial_certified():
