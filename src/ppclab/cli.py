@@ -190,7 +190,8 @@ def _points(ns) -> LatticePoints:
         except OSError as exc:
             raise _UsageError("--in: %s" % exc) from None
     family, alpha = _family_alpha(ns)
-    return orbit(family, alpha, ns.N, _delta(ns, None, ns.N)).points
+    return orbit(family, alpha, ns.N, _delta(ns, None, ns.N),
+                 threads=ns.threads).points
 
 
 # ---------------------------------------------------------------- subcommands
@@ -211,7 +212,7 @@ def _cmd_paircorr(ns) -> str:
         family, alpha = _family_alpha(ns)
         n_list = ns.N_list or (ns.N,)
         results = ppc_curve(family, alpha, s, n_list,
-                            _delta(ns, s, max(n_list)))
+                            _delta(ns, s, max(n_list)), threads=ns.threads)
     if ns.format == "csv":
         return "".join(["N,statistic\n"] + ["%d,%r\n" % (r.N, r.statistic)
                                              for r in results])
@@ -336,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", help="output file (default: stdout)")
     shared.add_argument("--threads", type=int,
                         default=max(1, os.cpu_count() or 1),
-                        help="worker processes (default: available "
-                             "parallelism); never changes the output bytes")
+                        help="worker processes for second-moment nodes, "
+                             "threads for an orbit's segments (default: "
+                             "available parallelism); never changes the "
+                             "output bytes")
     pair_delta = "min(2^-40, s/(200 N))"
 
     p = subs.add_parser("orbit", parents=[shared], formatter_class=_Formatter,

@@ -134,11 +134,13 @@ def check_orbit_length(N: int) -> int:
     return N
 
 
-def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
+def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta,
+          threads: int = 1) -> Orbit:
     """First N fractional parts of the family at alpha, certified to delta.
 
     Single incremental pass of hpreal.frac_walk over the exponents of
-    f_1 .. f_N; Kronecker orbits are exact, on alpha's own dyadic lattice.
+    f_1 .. f_N, its segments on up to `threads` threads; Kronecker orbits
+    are exact, on alpha's own dyadic lattice.
     """
     delta_f = check_delta(delta)
     check_orbit_length(N)
@@ -151,7 +153,8 @@ def orbit(family: SequenceFamily, alpha: ExactReal, N: int, delta) -> Orbit:
         return Orbit(family, alpha, delta_f,
                      LatticePoints(nums, 1 << E, (0.0,) * N))
     exps = [_exponent(family, n) for n in range(1, N + 1)]
-    points = frac_walk(alpha, exps, delta_f, geometric=family.kind == "geomsum")
+    points = frac_walk(alpha, exps, delta_f, geometric=family.kind == "geomsum",
+                       threads=threads)
     return Orbit(family, alpha, delta_f, points)
 
 

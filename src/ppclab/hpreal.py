@@ -34,13 +34,18 @@ the target tolerance and that count, and rejects plans above
 PREC_BUDGET_BITS; every segment is planned before any multiplication.  If an
 enclosure is still wider than the tolerance, that segment is retried exactly
 once at doubled precision, and then IndeterminateFrac is raised with the
-point's orbit index.
+point's orbit index.  Segments share nothing, so with threads > 1 the
+calling thread and a few helper threads walk them side by side, last
+segment first, and their points are joined in orbit order: the plan, the
+layout and every point are those of the serial walk.
 
 Multiply backend, chosen once at import: where the system's libgmp.so.10
 loads through ctypes, products of large operands run GMP's mpn_mul/mpn_sqr
 and small ones stay on CPython's int; otherwise every product is CPython's
 int multiply.  Mantissas are ints on both, and both return the exact
 product, so the bits of every result are the same; only the time differs.
+A ctypes call releases the GIL, so threads walk segments in parallel on the
+libgmp backend only; on CPython's int multiply a walk stays serial.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ from __future__ import annotations
 import ctypes
 import math
 import operator
+import os
 import sys
+import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -722,8 +729,65 @@ def _plan(alpha: ExactReal, exps, delta_f: Fraction,
     return plans
 
 
-def frac_walk(alpha: ExactReal, exps, delta,
-              geometric: bool = False) -> LatticePoints:
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_size(threads: int, jobs: int, cpus: int) -> int:
+    """Workers of a pool: no more than asked for, than jobs, or than usable
+    CPUs."""
+    return max(1, min(threads, jobs, cpus))
+
+
+def _run_all(task, count: int, workers: int) -> list:
+    """[task(k) for k in range(count)].  With workers > 1 the calling thread
+    and up to workers - 1 helper threads each take the highest k not yet
+    taken (a plan's precision grows along the walk, so this is about
+    longest first); every task runs, and once every helper is joined the
+    exception of the lowest failing k is raised, as the serial loop would
+    raise it."""
+    if workers == 1:
+        return [task(k) for k in range(count)]
+    pending = list(range(count))
+    results: list = [None] * count
+    errors: list = [None] * count
+
+    def work():
+        while True:
+            try:
+                k = pending.pop()
+            except IndexError:
+                return
+            try:
+                results[k] = task(k)
+            except Exception as exc:
+                errors[k] = exc
+
+    helpers = []
+    try:
+        for _ in range(workers - 1):
+            helper = threading.Thread(target=work)
+            try:
+                helper.start()
+            except RuntimeError:  # no thread to spare: fewer helpers
+                break
+            helpers.append(helper)
+        work()
+    finally:
+        pending.clear()  # an interrupted caller leaves the helpers no work
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
+def frac_walk(alpha: ExactReal, exps, delta, geometric: bool = False,
+              threads: int = 1) -> LatticePoints:
     """frac(alpha^e) for each e of a strictly increasing exponent list, as
     points over 2^keep, keep the fractional bits frac_point keeps for delta.
 
@@ -738,6 +802,11 @@ def frac_walk(alpha: ExactReal, exps, delta,
     exponent and its rounding count, with one automatic retry of that segment
     at doubled precision; after that IndeterminateFrac carries the 1-based
     orbit index of the first uncertified point.
+
+    `threads` > 1 walks the segments on up to that many threads (see
+    _run_all), no more than there are segments or usable CPUs; a failing
+    segment raises what the serial walk raises.  On CPython's int multiply,
+    which holds the GIL, the walk stays serial.
     """
     delta_f = check_delta(delta)
     exps = list(exps)
@@ -749,14 +818,23 @@ def frac_walk(alpha: ExactReal, exps, delta,
     if geometric:
         am1 = ExactReal.from_fraction(alpha.as_fraction() - 1)
     base = Ball.from_exact(alpha)
-    out: list[tuple[int, float]] = []
-    for start, stop, prec in _plan(alpha, exps, delta_f, geometric):
+    plans = _plan(alpha, exps, delta_f, geometric)
+
+    # segments share only base, whose one lazy field (_mag) any thread
+    # sets to the same value, and the _tolerance memo of the one delta_f
+    def segment(k):
+        start, stop, prec = plans[k]
         seg = exps[start:stop]
         try:
-            out += _walk(base, seg, am1, prec, delta_f, start)
+            return _walk(base, seg, am1, prec, delta_f, start)
         except IndeterminateFrac:
-            out += _walk(base, seg, am1, 2 * prec, delta_f, start)
-    nums, errors = zip(*out)
+            return _walk(base, seg, am1, 2 * prec, delta_f, start)
+
+    workers = 1
+    if _mul is not operator.mul:
+        workers = _pool_size(threads, len(plans), _usable_cpus())
+    parts = _run_all(segment, len(plans), workers)
+    nums, errors = zip(*(point for part in parts for point in part))
     return LatticePoints(nums, 1 << _tolerance(delta_f)[2], errors)
 
 

@@ -176,11 +176,12 @@ def check_n_list(N_list: Sequence[int]) -> int:
 
 
 def ppc_curve(family: SequenceFamily, alpha: ExactReal, s, N_list: Sequence[int],
-              delta) -> list[PairCorrelationResult]:
-    """The pair count at each N of N_list, from one orbit at max(N_list)."""
+              delta, threads: int = 1) -> list[PairCorrelationResult]:
+    """The pair count at each N of N_list, from one orbit at max(N_list),
+    walked on up to `threads` threads."""
     n_max = check_n_list(N_list)
     s_frac, delta = check_resolution(s, delta, n_max)
-    orb = orbit(family, alpha, n_max, delta)
+    orb = orbit(family, alpha, n_max, delta, threads=threads)
     return [pair_count(orb.points[:N], s_frac) for N in N_list]
 
 

@@ -5,8 +5,10 @@ Each quadrature node is an exact rational, rounded to alpha's 128-bit grid
 paircorr.ppc_curve, one certified orbit at the largest requested N with
 smaller N read off the orbit prefix, and the default delta, the N-list rules
 and the blur bound are paircorr's too.  Nodes are independent, so they form
-the unit of parallelism; the reduction always runs in ascending node order,
-which makes the result identical for any thread count.
+the unit of parallelism: a pool of worker processes, sized by the same rule
+as a walk's threads (hpreal._pool_size), whose node orbits are walked
+serially, so no pool is nested.  The reduction always runs in ascending node
+order, which makes the result identical for any thread count.
 
 The random mode draws nodes with SplitMix64 so runs are reproducible across
 machines and languages from the 64-bit seed alone.  Floats are reduced left
@@ -17,7 +19,6 @@ version.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,6 +29,8 @@ from ppclab.hpreal import (
     ExactReal,
     IndeterminateFrac,
     PrecisionOverflow,
+    _pool_size,
+    _usable_cpus,
     round_alpha,
 )
 from ppclab.paircorr import (check_n_list, check_resolution, default_delta,
@@ -106,22 +109,9 @@ def quadrature_nodes(interval: IntervalSpec, quad: QuadratureSpec) -> list[Fract
 
 
 def _node_stats(args) -> list[float]:
-    """One node's statistics along n_list; module-level so a pool can
-    pickle it."""
+    """One node's statistics along n_list, its orbit walked serially;
+    module-level so a pool can pickle it."""
     return [res.statistic for res in ppc_curve(*args)]
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _pool_size(threads: int, jobs: int, cpus: int) -> int:
-    """Worker processes: no more than asked for, than jobs, or than usable
-    CPUs."""
-    return max(1, min(threads, jobs, cpus))
 
 
 def _columns(results) -> list[list[float]]:

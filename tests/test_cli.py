@@ -496,6 +496,40 @@ def test_threads_do_not_change_bytes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_orbit_threads_are_capped_by_usable_cpus(monkeypatch, tmp_path,
+                                                capsys):
+    # a stub thread runs its work inline when started, so the count is
+    # what the walk asks for and no thread is ever started for real
+    import threading
+
+    started = []
+
+    class Inline:
+        def __init__(self, target):
+            self.target = target
+
+        def start(self):
+            started.append(self)
+            self.target()
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(threading, "Thread", Inline)
+    monkeypatch.setattr(hpreal, "_usable_cpus", lambda: 3)
+    argv = ["orbit", "--family", "monomial:k=2", "--alpha", "1.5",
+            "--N", "600", "--out"]
+    assert main(argv + [str(tmp_path / "t1.txt"), "--threads", "1"]) == 0
+    assert started == []
+    assert main(argv + [str(tmp_path / "tm.txt"),
+                        "--threads", "1000000"]) == 0
+    # CPython's own multiply holds the GIL, so that backend walks serially
+    assert len(started) == (0 if hpreal._mul is operator.mul else 2)
+    assert ((tmp_path / "t1.txt").read_bytes()
+            == (tmp_path / "tm.txt").read_bytes())
+    capsys.readouterr()
+
+
 def test_stdout_matches_file_output(tmp_path, capsys):
     argv = ["orbit", "--family", "monomial:k=2", "--alpha", "1.5",
             "--N", "10", "--delta", "1e-9"]

@@ -8,6 +8,7 @@ incremental orbit walk.  Everything goes through the public functions
 families.orbit, hpreal.frac_walk and hpreal.pow_frac.
 """
 
+import threading
 from fractions import Fraction
 
 import pytest
@@ -496,6 +497,100 @@ def test_gap_powers_are_reused_and_grown_inside_a_segment(monkeypatch, prec):
     for e, (num, err) in zip(exps, walked, strict=True):
         got = Fraction(num, den)
         assert circle_dist(got, dyadic_frac_power(ALPHA18, e)) <= Fraction(err)
+
+
+# ---------------------------------------------------------------------------
+# segments on threads: the same points, the same failures, no thread left
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def helpers(monkeypatch):
+    """The helper threads that walks start, listed as they start.  Two
+    usable CPUs, whatever this host allows, and a seam multiply that is not
+    CPython's own (which keeps a walk serial), so threads=2 starts one."""
+    monkeypatch.setattr(hpreal, "_usable_cpus", lambda: 2)
+    mul = hpreal._mul
+    monkeypatch.setattr(hpreal, "_mul", lambda a, b: mul(a, b))
+    started, thread = [], threading.Thread
+
+    class Counted(thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@pytest.mark.parametrize("family, alpha, N", [
+    (MON2, parse_alpha("1.5", 128), 600),
+    (GEO2, ALPHA18, 200),
+    (FACT, ALPHA18, 9),
+    (LIN, ALPHA18, 1000),
+], ids=["monomial", "geomsum", "factorial", "linpow"])
+def test_threaded_walk_is_byte_identical(helpers, family, alpha, N):
+    exps = _exps(family, N)
+    segments = len(hpreal._segments(exps, alpha.upper_float()))
+    assert (segments == 1) == (family == LIN)
+    before = threading.active_count()
+    serial, threaded = (frac_walk(alpha, exps, DELTA, geometric=family == GEO2,
+                                  threads=threads) for threads in (1, 2))
+    assert threaded == serial
+    assert len(helpers) == (0 if segments == 1 else 1)
+    assert threading.active_count() == before
+
+
+def test_threaded_walk_raises_what_the_serial_walk_raises(monkeypatch,
+                                                         helpers):
+    segments, failures, walks = _undersize_third_segment(monkeypatch,
+                                                         lambda bits: 8)
+    before = threading.active_count()
+    raised = []
+    for threads in (1, 2):
+        with pytest.raises(IndeterminateFrac) as info:
+            orbit(MON2, ALPHA18, 12, DELTA, threads=threads)
+        raised.append((str(info.value), info.value.index))
+    assert raised[1] == raised[0]
+    assert raised[0][1] == segments[2][0] + 1
+    assert len(helpers) == 1
+    assert threading.active_count() == before
+    # the serial walk stops at the third segment and its retry; the
+    # threaded one walks every segment, and the third fails twice again
+    starts = [first for first, _ in segments]
+    assert len(failures) == 4
+    assert [first for first, _ in walks[:4]] == starts[:3] + starts[2:3]
+    assert sorted(first for first, _ in walks[4:]) == sorted(starts
+                                                             + starts[2:3])
+
+
+def test_threaded_walk_raises_the_first_of_several_failures(monkeypatch,
+                                                           helpers):
+    # every segment fails, the last one first in time: the walk still
+    # raises the first segment's failure, as the serial walk does
+    monkeypatch.setattr(hpreal, "SEGMENT_FLOOR_BITS", 16)
+    failures = _replan(monkeypatch, lambda bits: 8)
+    raised = []
+    for threads in (1, 2):
+        with pytest.raises(IndeterminateFrac) as info:
+            orbit(MON2, ALPHA18, 12, DELTA, threads=threads)
+        raised.append((str(info.value), info.value.index))
+    assert raised == [raised[0]] * 2 and raised[0][1] == 1
+    segments = hpreal._segments(_exps(MON2, 12), ALPHA18.upper_float())
+    assert len(failures) == 2 + 2 * len(segments)
+
+
+def test_threaded_retry_is_alone(monkeypatch, helpers):
+    segments, failures, walks = _undersize_third_segment(
+        monkeypatch, lambda bits: (bits + 1) // 2)
+    points = orbit(MON2, ALPHA18, 12, DELTA, threads=2).points
+    for n, got in enumerate(points, start=1):
+        assert circle_dist(got.value, _oracle(MON2, n)) <= Fraction(got.error)
+    assert len(helpers) == 1 and len(failures) == 1
+    starts = [first for first, _ in segments]
+    assert sorted(first for first, _ in walks) == sorted(starts + starts[2:3])
+    third = [prec for first, prec in walks if first == starts[2]]
+    assert third[1] == 2 * third[0]  # the one retry doubles its plan
 
 
 # ---------------------------------------------------------------------------

@@ -468,3 +468,40 @@ def test_int_pow_past_the_budget_runs_no_multiply(monkeypatch):
     # a degree past 1000 bits is named by its bit size
     with pytest.raises(PrecisionOverflow, match=r"degree above 2\^2000 "):
         hpreal.int_pow(3, 1 << 2000)
+
+
+# ---------------------------------------------------------------------------
+# the segment pool
+# ---------------------------------------------------------------------------
+
+
+def test_run_all_runs_each_task_once_under_fast_thread_switches():
+    # more workers than CPUs, and a switch at almost every bytecode: a task
+    # taken twice or lost, or a result stored at the wrong index, shows
+    ran = []
+
+    def task(k):
+        ran.append(k)
+        return k * k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = hpreal._run_all(task, 3000, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [k * k for k in range(3000)]
+    assert sorted(ran) == list(range(3000))
+
+
+def test_run_all_without_a_spare_thread_runs_on_the_caller(monkeypatch):
+    import threading
+
+    class Refused(threading.Thread):
+        def start(self):
+            raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading, "Thread", Refused)
+    before = threading.active_count()
+    assert hpreal._run_all(lambda k: -k, 5, 4) == [0, -1, -2, -3, -4]
+    assert threading.active_count() == before
