@@ -19,25 +19,28 @@ Layers:
   UnitPoint      -- a point of [0,1) with a certified circle-metric error
   LatticePoints  -- points of [0,1) as integer numerators over one
                     denominator, with their errors; UnitPoints on access
+  WalkPlan       -- every constant of one walk, derived once by _plan
   frac_point     -- frac of a ball as a numerator over 2^keep and its error
   frac_walk      -- frac(alpha^e) along increasing exponents, one ball walk,
                     born on the lattice 2^-keep
   pow_frac       -- frac(alpha^d), the one-exponent walk
 
-Precision policy: frac_walk is the one planner.  It splits the exponents
-into segments (_segments) whose integer parts grow by at most SEGMENT_GROWTH
-once past SEGMENT_FLOOR_BITS bits; every segment restarts from 1, so its
-first point is a binary exponentiation.  For each segment it counts the
-roundings of its walk and calls required_precision() once, which sizes the
-working mantissa from the segment's last exponent, an upper bound on alpha,
-the target tolerance and that count, and rejects plans above
-PREC_BUDGET_BITS; every segment is planned before any multiplication.  If an
-enclosure is still wider than the tolerance, that segment is retried exactly
-once at doubled precision, and then IndeterminateFrac is raised with the
-point's orbit index.  Segments share nothing, so with threads > 1 the
-calling thread and a few helper threads walk them side by side, last
-segment first, and their points are joined in orbit order: the plan, the
-layout and every point are those of the serial walk.
+Precision policy: _plan is the one planner.  It derives every constant of a
+walk once, into one frozen WalkPlan that the walk and each point read, from
+one upper bound of log2(alpha) (ExactReal.log2_upper, finite at any size)
+and one ceil(log2(1/delta)).  It splits the exponents into segments whose
+integer parts grow by at most SEGMENT_GROWTH once past SEGMENT_FLOOR_BITS
+bits; every segment restarts from 1, so its first point is a binary
+exponentiation.  For each segment it counts the roundings of its walk and
+calls required_precision() once, which sizes the working mantissa and
+rejects plans above PREC_BUDGET_BITS; every segment is planned before any
+multiplication.  If an enclosure is still wider than the tolerance, that
+segment is retried exactly once at doubled precision, and then
+IndeterminateFrac is raised with the point's orbit index.  Segments share
+nothing but the plan, so with threads > 1 the calling thread and a few
+helper threads walk them side by side, last segment first, and their points
+are joined in orbit order: the plan, the layout and every point are those
+of the serial walk.
 
 Multiply backend, chosen once at import: where the system's libgmp.so.10
 loads through ctypes, products of large operands run GMP's mpn_mul/mpn_sqr
@@ -75,7 +78,7 @@ ALPHA_BITS = 128
 # (CVE-2020-10735), which already bounds the digits themselves.
 LITERAL_EXP_CAP = 4300
 
-# Segmentation of frac_walk (see _segments): a walk whose integer parts stay
+# Segmentation of frac_walk (see _plan): a walk whose integer parts stay
 # within SEGMENT_FLOOR_BITS bits is one segment; past it, a segment spans a
 # growth of at most SEGMENT_GROWTH in integer-part bits.  Chosen by a sweep of
 # floors 2^12..2^16 and growths 1.25..2 on monomial:k=2 and factorial orbits
@@ -238,10 +241,14 @@ class ExactReal:
         except OverflowError:
             return math.inf if self.num > 0 else -math.inf
 
-    def upper_float(self) -> float:
-        """A float strictly above the exact value (used only inside logarithms)."""
-        f = float(self)
-        return math.nextafter(f, math.inf)
+    def log2_upper(self) -> float:
+        """An upper bound of log2 of the value > 0, at any size: log2 of the
+        float just above value/2^k, plus k, with k > 0 only past 2^1000 (up
+        to the rounding of a float log2, which required_precision's guard
+        bits absorb)."""
+        k = max(0, self.num.bit_length() + self.exp - 1000)
+        scaled = float(ExactReal(self.num, self.exp - k))
+        return math.log2(math.nextafter(scaled, math.inf)) + k
 
 
 def parse_alpha(text: str, bits: int) -> ExactReal:
@@ -310,27 +317,29 @@ def check_delta(delta) -> Fraction:
     return delta_f
 
 
-def required_precision(d: int, alpha_upper, delta, mults: int) -> int:
+def required_precision(d: int, log2_alpha: float, tol_bits: int,
+                       mults: int) -> int:
     """Working mantissa bits for frac(alpha^d) to absolute tolerance delta.
 
-    ceil(d*log2(alpha_upper)) covers the integer part, ceil(log2(1/delta)) the
-    target resolution, ceil(log2(mults+1)) the accumulated per-multiplication
-    rounding, plus 16 guard bits.  Raises PrecisionOverflow when the total
-    exceeds PREC_BUDGET_BITS.  d >= 1, alpha > 1 and delta in (0, 1/4) are
-    frac_walk's rules, checked there before any plan.
+    ceil(d*log2_alpha) covers the integer part, tol_bits = ceil(log2(1/delta))
+    the target resolution, ceil(log2(mults+1)) the accumulated rounding,
+    plus 16 guard bits; the plan derives log2_alpha (ExactReal.log2_upper,
+    finite at any size of alpha) and tol_bits once per walk.  Raises
+    PrecisionOverflow when the total exceeds PREC_BUDGET_BITS.  d >= 1,
+    alpha > 1 and delta in (0, 1/4) are frac_walk's rules, checked there
+    before any plan.
     """
     if mults < 0:
         raise ValueError("mults must be >= 0")
-    au = float(alpha_upper)
     try:
-        magnitude = math.ceil(d * math.log2(au))
+        magnitude = math.ceil(d * log2_alpha)
     except OverflowError:  # d beyond the float range
         magnitude = math.inf
-    prec = magnitude + _ceil_log2_inv(Fraction(delta)) + mults.bit_length() + 16
+    prec = magnitude + tol_bits + mults.bit_length() + 16
     if prec > PREC_BUDGET_BITS:
         raise PrecisionOverflow(
-            "degree %s at alpha_upper %g needs %g mantissa bits (budget %d)"
-            % (_shown(d), au, prec, PREC_BUDGET_BITS)
+            "degree %s at log2(alpha) %.6g needs %g mantissa bits (budget %d)"
+            % (_shown(d), log2_alpha, prec, PREC_BUDGET_BITS)
         )
     return prec
 
@@ -583,38 +592,33 @@ class LatticePoints(Sequence):
         return UnitPoint(Fraction(self.nums[i], self.den), self.errors[i])
 
 
-# frac_point's constants for the last tolerance it was given: (delta as
-# passed, delta as a Fraction, the fractional bits a point keeps, delta
-# rounded to a float).  Holding the delta object keeps its identity from
-# being reused.  A memo rather than a parameter, so frac_point keeps the
-# (ball, delta) call that bench/tracing.py and tests wrap by name; frac_walk
-# reads its lattice denominator 2^keep from the same memo.
-_last_tolerance = (None, None, 0, 0.0)
+@dataclass(frozen=True, slots=True)
+class WalkPlan:
+    """Every constant of one walk, derived once by _plan: the points keep
+    `keep` fractional bits (they lie over 2^keep), delta is the tolerance
+    exactly and as a float, am1 is alpha - 1 for a geometric walk (else
+    None), and segments holds (start, stop, prec) per segment."""
+
+    keep: int
+    delta: Fraction
+    delta_float: float
+    am1: ExactReal | None
+    segments: tuple[tuple[int, int, int], ...]
 
 
-def _tolerance(delta) -> tuple[object, Fraction, int, float]:
-    global _last_tolerance
-    tol = _last_tolerance
-    if delta is not tol[0]:
-        delta_f = Fraction(delta)
-        keep = max(64, _ceil_log2_inv(delta_f) + 32)
-        tol = _last_tolerance = (delta, delta_f, keep, float(delta_f))
-    return tol
-
-
-def frac_point(ball: Ball, delta) -> tuple[int, float]:
-    """Extract frac(value) from an enclosure, certified to delta, as
-    (num, err): the point num/2^keep lies within err <= delta of it.
+def frac_point(ball: Ball, plan: WalkPlan) -> tuple[int, float]:
+    """Extract frac(value) from an enclosure, certified to the plan's delta,
+    as (num, err): the point num/2^keep lies within err <= delta of it.
 
     Raises IndeterminateFrac when the enclosure is too wide to pin the
-    fractional part to the tolerance.  The point keeps only keep fractional
-    bits, enough for the tolerance plus slack; the truncation is folded into
-    the reported error.  A walk passes the same delta to every point, so its
-    constants, keep among them, are derived once per walk (_tolerance).
+    fractional part to the tolerance.  The point keeps only the plan's keep
+    fractional bits, enough for the tolerance plus slack; the truncation is
+    folded into the reported error.  keep and both forms of delta are read
+    from the plan, which derives them once per walk.
     """
-    _, delta_f, keep, delta_float = _tolerance(delta)
     if ball.man < 0:
         raise ValueError("fractional-part extraction expects a nonnegative value")
+    keep = plan.keep
     rad = ball.rad
     drop = -ball.exp - keep  # fractional bits below the kept ones
     if ball.exp >= 0:
@@ -624,13 +628,12 @@ def frac_point(ball: Ball, delta) -> tuple[int, float]:
         rad = _r_add_pow2(rad, -keep)
     else:
         num = (ball.man & ((1 << -ball.exp) - 1)) << -drop
-    if not _r_leq(rad, delta_f):
-        raise IndeterminateFrac(
-            "enclosure radius %s exceeds tolerance %s" % (_r_float(rad), delta_float)
-        )
+    if not _r_leq(rad, plan.delta):
+        raise IndeterminateFrac("enclosure radius %s exceeds tolerance %s"
+                                % (_r_float(rad), plan.delta_float))
     # the outward float nudge may overshoot the (already verified) bound;
-    # rounding is monotone, so this clamps err exactly where it exceeds delta_f
-    return num, min(_r_float(rad), delta_float)
+    # rounding is monotone, so this clamps err exactly where it exceeds delta
+    return num, min(_r_float(rad), plan.delta_float)
 
 
 def _steps(exps):
@@ -650,8 +653,9 @@ def _steps(exps):
         prev, g_prev = e, g
 
 
-def _walk(base: Ball, exps, am1: ExactReal | None, prec: int,
-          delta_f: Fraction, first: int) -> list[tuple[int, float]]:
+def _walk(base: Ball, exps, prec: int, plan: WalkPlan,
+          first: int) -> list[tuple[int, float]]:
+    am1 = plan.am1
     running = gap_power = Ball(1, 0)
     out: list[tuple[int, float]] = []
     for i, (keep, fresh) in enumerate(_steps(exps)):
@@ -664,7 +668,7 @@ def _walk(base: Ball, exps, am1: ExactReal | None, prec: int,
         else:
             target = ball_div_exact(ball_sub_int(running, 1, prec), am1, prec)
         try:
-            out.append(frac_point(target, delta_f))
+            out.append(frac_point(target, plan))
         except IndeterminateFrac as err:
             raise IndeterminateFrac(str(err), index=first + i + 1) from None
     return out
@@ -686,15 +690,16 @@ def _roundings(exps) -> int:
     return count
 
 
-def _segments(exps, alpha_upper: float) -> list[tuple[int, int]]:
-    """Split exps into consecutive [start, stop) index ranges.
-
-    A segment ends before the first exponent whose integer part needs more
+def _plan(alpha: ExactReal, exps, delta_f: Fraction,
+          geometric: bool) -> WalkPlan:
+    """The walk's WalkPlan, from one log2 upper bound of alpha and one
+    ceil(log2(1/delta)), every segment planned before any multiply.  A
+    segment ends before the first exponent whose integer part needs more
     than max(SEGMENT_FLOOR_BITS, SEGMENT_GROWTH * b0) bits, b0 being the
-    bits of the segment's first exponent; so a walk whose last exponent
-    needs at most SEGMENT_FLOOR_BITS bits is one segment.
-    """
-    lg = math.log2(alpha_upper)
+    bits of the segment's first exponent, and restarts from 1: its first
+    step is the binary exponentiation of its first exponent."""
+    lg = alpha.log2_upper()
+    tol_bits = _ceil_log2_inv(delta_f)
     starts = []
     limit = -1.0
     for i, e in enumerate(exps):
@@ -705,28 +710,22 @@ def _segments(exps, alpha_upper: float) -> list[tuple[int, int]]:
         if bits > limit:
             starts.append(i)
             limit = max(SEGMENT_FLOOR_BITS, SEGMENT_GROWTH * bits)
-    return list(zip(starts, starts[1:] + [len(exps)]))
-
-
-def _plan(alpha: ExactReal, exps, delta_f: Fraction,
-          geometric: bool) -> list[tuple[int, int, int]]:
-    """(start, stop, prec) per segment, every plan checked before any
-    multiply; a segment restarts from 1, so its first step is the binary
-    exponentiation of its first exponent."""
-    au = alpha.upper_float()
+    am1 = None
     extra = 0
     if geometric:
+        am1 = ExactReal.from_fraction(alpha.as_fraction() - 1)
         # dividing by alpha - 1 magnifies absolute error by 1/(alpha - 1)
-        extra = _ceil_log2_inv(min(alpha.as_fraction() - 1, Fraction(1))) + 4
-    plans = []
-    for start, stop in _segments(exps, au):
+        extra = _ceil_log2_inv(min(am1.as_fraction(), Fraction(1))) + 4
+    segments = []
+    for start, stop in zip(starts, starts[1:] + [len(exps)]):
         seg = exps[start:stop]
         mults = 2 + _roundings(seg)  # 2: the trailing subtraction/division
         if geometric:
             mults += 2 * len(seg)
-        prec = required_precision(seg[-1], au, delta_f, mults) + extra
-        plans.append((start, stop, prec))
-    return plans
+        prec = required_precision(seg[-1], lg, tol_bits, mults) + extra
+        segments.append((start, stop, prec))
+    return WalkPlan(max(64, tol_bits + 32), delta_f, float(delta_f), am1,
+                    tuple(segments))
 
 
 def _usable_cpus() -> int:
@@ -789,11 +788,11 @@ def _run_all(task, count: int, workers: int) -> list:
 def frac_walk(alpha: ExactReal, exps, delta, geometric: bool = False,
               threads: int = 1) -> LatticePoints:
     """frac(alpha^e) for each e of a strictly increasing exponent list, as
-    points over 2^keep, keep the fractional bits frac_point keeps for delta.
+    points over 2^keep, keep the fractional bits its plan keeps for delta.
 
     With `geometric` the points are frac((alpha^e - 1)/(alpha - 1)) instead,
     i.e. of 1 + alpha + ... + alpha^(e-1).  The exponents are walked in
-    segments (see _segments); each starts from 1 and advances a running power
+    segments (see _plan); each starts from 1 and advances a running power
     by one multiplication with alpha^(gap) per exponent.  The gap power is
     reused when the gap repeats, grown as alpha^g_prev * alpha^(g - g_prev)
     when g_prev < g < 2 g_prev, and otherwise computed by binary
@@ -814,28 +813,25 @@ def frac_walk(alpha: ExactReal, exps, delta, geometric: bool = False,
         raise ValueError("alpha must exceed 1")
     if not exps or exps[0] < 1 or any(a >= b for a, b in zip(exps, exps[1:])):
         raise ValueError("exponents must be >= 1 and strictly increasing")
-    am1 = None
-    if geometric:
-        am1 = ExactReal.from_fraction(alpha.as_fraction() - 1)
     base = Ball.from_exact(alpha)
-    plans = _plan(alpha, exps, delta_f, geometric)
+    plan = _plan(alpha, exps, delta_f, geometric)
 
     # segments share only base, whose one lazy field (_mag) any thread
-    # sets to the same value, and the _tolerance memo of the one delta_f
+    # sets to the same value, and the frozen plan
     def segment(k):
-        start, stop, prec = plans[k]
+        start, stop, prec = plan.segments[k]
         seg = exps[start:stop]
         try:
-            return _walk(base, seg, am1, prec, delta_f, start)
+            return _walk(base, seg, prec, plan, start)
         except IndeterminateFrac:
-            return _walk(base, seg, am1, 2 * prec, delta_f, start)
+            return _walk(base, seg, 2 * prec, plan, start)
 
     workers = 1
     if _mul is not operator.mul:
-        workers = _pool_size(threads, len(plans), _usable_cpus())
-    parts = _run_all(segment, len(plans), workers)
+        workers = _pool_size(threads, len(plan.segments), _usable_cpus())
+    parts = _run_all(segment, len(plan.segments), workers)
     nums, errors = zip(*(point for part in parts for point in part))
-    return LatticePoints(nums, 1 << _tolerance(delta_f)[2], errors)
+    return LatticePoints(nums, 1 << plan.keep, errors)
 
 
 def pow_frac(alpha: ExactReal, d: int, delta) -> UnitPoint:

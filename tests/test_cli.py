@@ -61,6 +61,19 @@ def test_orbit_linpow_zeros(capsys):
     assert out.splitlines()[2:] == ["0"] * 5
 
 
+def test_orbit_and_paircorr_at_an_alpha_past_the_float_range(capsys):
+    # 10^4000 is far past 2^1024 and an integer: every linpow point is 0,
+    # and all 20 ordered pairs of 5 equal points are within s/N
+    code, out, err = run(capsys, "orbit", "--family", "linpow",
+                         "--alpha", "1e4000", "--N", "3")
+    assert code == 0 and err == ""
+    assert out.splitlines()[2:] == ["0"] * 3
+    code, out, err = run(capsys, "paircorr", "--family", "linpow",
+                         "--alpha", "1e4000", "--N", "5", "--s", "0.5")
+    assert code == 0 and err == ""
+    assert json.loads(out)["ordered_count"] == 20
+
+
 def test_orbit_factorial_cap_is_precision_failure(capsys):
     code, out, err = run(capsys, "orbit", "--family", "factorial",
                          "--alpha", "1.8", "--N", "25")

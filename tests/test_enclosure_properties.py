@@ -264,8 +264,10 @@ def test_frac_point_matches_the_radius_helpers(man, exp, k, data):
     # is also next to delta
     ball = Ball(man, exp, _radius_near(data.draw, -keep))
     want = _ref_frac_point(ball, delta)
+    plan = hpreal._plan(ExactReal(3, -1), [1], delta, False)
+    assert plan.keep == keep
     try:
-        got = frac_point(ball, delta)
+        got = frac_point(ball, plan)
     except IndeterminateFrac:
         got = None
     assert got == want
@@ -336,9 +338,10 @@ def test_segment_ends_enclose_exact_values_at_production_scale():
         geometric = family.kind == "geomsum"
         # a geomsum point is the geometric walk's point at exponent d + 1
         exps = [degree(family, n) + geometric for n in range(1, N + 1)]
-        segments = hpreal._segments(exps, alpha.upper_float())
+        segments = hpreal._plan(alpha, exps, Fraction(1, 1 << 40),
+                                geometric).segments
         assert len(segments) > 1
-        for i in sorted({i for start, stop in segments
+        for i in sorted({i for start, stop, _ in segments
                          for i in (start, stop - 1)}):
             d = exps[i]
             if geometric:

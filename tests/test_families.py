@@ -8,6 +8,7 @@ incremental orbit walk.  Everything goes through the public functions
 families.orbit, hpreal.frac_walk and hpreal.pow_frac.
 """
 
+import math
 import threading
 from fractions import Fraction
 
@@ -305,9 +306,9 @@ def _replan(monkeypatch, plan):
                         lambda *args: plan(planner(*args)))
     failures = []
 
-    def counted(ball, delta):
+    def counted(ball, walk_plan):
         try:
-            return extract(ball, delta)
+            return extract(ball, walk_plan)
         except IndeterminateFrac:
             failures.append(ball)
             raise
@@ -351,11 +352,17 @@ def _oracle(family, n):
     return dyadic_frac_power(ALPHA18, n * n)
 
 
+def _layout(alpha, exps, geometric=False):
+    """The (start, stop) index range of every segment of the walk's plan."""
+    plan = hpreal._plan(alpha, exps, DELTA, geometric)
+    return [(start, stop) for start, stop, _ in plan.segments]
+
+
 @pytest.mark.parametrize("family", [MON2, GEO2])
 def test_segmented_walk_encloses_the_exact_values(monkeypatch, family):
     # a 16-bit floor splits the 12 exponents at alpha = 1.8 into 5 segments
     monkeypatch.setattr(hpreal, "SEGMENT_FLOOR_BITS", 16)
-    segments = hpreal._segments(_exps(family, 12), ALPHA18.upper_float())
+    segments = _layout(ALPHA18, _exps(family, 12), family == GEO2)
     assert len(segments) >= 3
     assert segments[0][0] == 0 and segments[-1][1] == 12
     assert all(a[1] == b[0] for a, b in zip(segments, segments[1:]))
@@ -367,18 +374,65 @@ def test_segmented_walk_encloses_the_exact_values(monkeypatch, family):
 
 def test_short_walk_is_one_segment():
     exps = _exps(MON2, 130)  # 130^2 * log2(1.8) < 2^14 integer bits
-    assert hpreal._segments(exps, ALPHA18.upper_float()) == [(0, 130)]
+    assert _layout(ALPHA18, exps) == [(0, 130)]
 
 
 def test_segment_layout_frozen():
     # monomial:k=2, alpha = 1.5, N = 1000: (start, stop, precision) per
     # segment; a change here changes the midpoints of every long orbit
     exps = _exps(MON2, 1000)
-    assert hpreal._plan(parse_alpha("1.5", 128), exps, DELTA, False) == [
+    plan = hpreal._plan(parse_alpha("1.5", 128), exps, DELTA, False)
+    assert list(plan.segments) == [
         (0, 167, 16388), (167, 205, 24652), (205, 252, 37217),
         (252, 309, 55923), (309, 379, 84095), (379, 465, 126555),
         (465, 570, 190126), (570, 699, 285886), (699, 857, 429698),
         (857, 1000, 585035)]
+
+
+def test_each_walk_takes_one_log2_of_alpha_and_one_tolerance(monkeypatch):
+    # the plan derives every walk constant once: one log2 of alpha and one
+    # ceil(log2(1/delta)) for all ten segments of this walk
+    calls = {"log2": 0, "tol": 0}
+    log2, tolerance = math.log2, hpreal._ceil_log2_inv
+
+    def counted_log2(x):
+        calls["log2"] += 1
+        return log2(x)
+
+    def counted_tolerance(x):
+        calls["tol"] += 1
+        return tolerance(x)
+
+    monkeypatch.setattr(math, "log2", counted_log2)
+    monkeypatch.setattr(hpreal, "_ceil_log2_inv", counted_tolerance)
+    points = frac_walk(parse_alpha("1.5", 128), _exps(MON2, 1000), DELTA)
+    assert len(points) == 1000 and points.den == 2**72
+    assert calls == {"log2": 1, "tol": 1}
+
+
+@pytest.mark.parametrize("text", ["1" + "0" * 400 + ".5",
+                                  "1" + "0" * 400 + ".3"],
+                         ids=["10^400+1/2", "10^400+0.3"])
+@pytest.mark.parametrize("family, N", [(LIN, 30), (MON2, 12),
+                                       (SequenceFamily("geomsum", 1), 30)],
+                         ids=["linpow", "monomial", "geomsum"])
+def test_orbit_past_the_float_range_matches_the_exact_values(family, N, text):
+    # alpha past 2^1024, so past the float range; at 10^400 + 1/2 the
+    # points are 2^-d, at 10^400 + 0.3 (on the 2^-128 grid) they spread
+    alpha = parse_alpha(text, 128)
+    assert float(alpha) == float("inf")
+    geometric = family.kind == "geomsum"
+    exps = [degree(family, n) for n in range(1, N + 1)]
+    assert len(_layout(alpha, [d + geometric for d in exps])) > 1
+    af = alpha.as_fraction()
+    points = orbit(family, alpha, N, DELTA).points
+    for d, got in zip(exps, points, strict=True):
+        if geometric:
+            want = geomsum_oracle(af, d) % 1
+        else:
+            want = dyadic_frac_power(alpha, d)
+        assert got.error <= DELTA
+        assert circle_dist(got.value, want) <= Fraction(got.error)
 
 
 def _undersize_third_segment(monkeypatch, shrink):
@@ -387,7 +441,7 @@ def _undersize_third_segment(monkeypatch, shrink):
     the failed enclosures and the (first index, precision) of every walk."""
     monkeypatch.setattr(hpreal, "SEGMENT_FLOOR_BITS", 16)
     exps = _exps(MON2, 12)
-    segments = hpreal._segments(exps, ALPHA18.upper_float())
+    segments = _layout(ALPHA18, exps)
     start, stop = segments[2]
     assert stop - start > 1
     failures = _replan(monkeypatch, lambda bits: bits)
@@ -398,9 +452,9 @@ def _undersize_third_segment(monkeypatch, shrink):
                           else planner(d, *rest)))
     walk, walks = hpreal._walk, []
 
-    def recorded(base, exps, am1, prec, delta_f, first):
+    def recorded(base, exps, prec, plan, first):
         walks.append((first, prec))
-        return walk(base, exps, am1, prec, delta_f, first)
+        return walk(base, exps, prec, plan, first)
 
     monkeypatch.setattr(hpreal, "_walk", recorded)
     return segments, failures, walks
@@ -431,6 +485,7 @@ def test_far_too_small_later_segment_raises_with_global_index(monkeypatch):
 
 def test_every_segment_is_planned_before_any_multiply(monkeypatch):
     monkeypatch.setattr(hpreal, "SEGMENT_FLOOR_BITS", 16)
+    segments = _layout(ALPHA18, _exps(MON2, 12))
     planner, events = hpreal.required_precision, []
 
     def planned(d, *rest):
@@ -445,7 +500,6 @@ def test_every_segment_is_planned_before_any_multiply(monkeypatch):
     monkeypatch.setattr(hpreal, "ball_mul", multiplied)
     with pytest.raises(AssertionError):
         orbit(MON2, ALPHA18, 12, DELTA)
-    segments = hpreal._segments(_exps(MON2, 12), ALPHA18.upper_float())
     assert events == ["plan"] * len(segments) + ["mul"]
     # and a segment beyond the budget stops the walk before its first multiply
     monkeypatch.setattr(hpreal, "required_precision", planner)
@@ -471,8 +525,9 @@ def test_pow_frac_plan_is_the_binary_exponentiation_of_the_degree(monkeypatch):
         plans.clear()
         pows.clear()
         pow_frac(ALPHA18, d, DELTA)
-        # one plan: the rounding slack 2 plus 2*bitlen(d) + 1 multiplies
-        assert plans == [(d, ALPHA18.upper_float(), DELTA,
+        # one plan: the rounding slack 2 plus 2*bitlen(d) + 1 multiplies,
+        # at the log2 bound of alpha and 40 = ceil(log2(1/DELTA)) bits
+        assert plans == [(d, ALPHA18.log2_upper(), 40,
                           2 + 2 * d.bit_length() + 1)]
         assert pows == [(d, planner(*plans[0]))]
 
@@ -489,11 +544,11 @@ def test_gap_powers_are_reused_and_grown_inside_a_segment(monkeypatch, prec):
 
     monkeypatch.setattr(hpreal, "ball_pow", powered)
     exps = [1, 4, 9, 16, 20, 24, 28, 60]  # gaps 1, 3, 5, 7, 4, 4, 4, 32
-    delta = Fraction(1, 4)
-    walked = hpreal._walk(base, exps, None, prec, delta, 0)
+    plan = hpreal._plan(ALPHA18, exps, Fraction(1, 4), False)
+    walked = hpreal._walk(base, exps, prec, plan, 0)
     # 3 < 2*1 fails: fresh; 5 and 7 grow by alpha^2; 4 is fresh, then reused
     assert pows == [1, 3, 2, 2, 4, 32]
-    den = 1 << hpreal._tolerance(delta)[2]  # the walk's points are over 2^keep
+    den = 1 << plan.keep  # the walk's points are over 2^keep
     for e, (num, err) in zip(exps, walked, strict=True):
         got = Fraction(num, den)
         assert circle_dist(got, dyadic_frac_power(ALPHA18, e)) <= Fraction(err)
@@ -531,7 +586,7 @@ def helpers(monkeypatch):
 ], ids=["monomial", "geomsum", "factorial", "linpow"])
 def test_threaded_walk_is_byte_identical(helpers, family, alpha, N):
     exps = _exps(family, N)
-    segments = len(hpreal._segments(exps, alpha.upper_float()))
+    segments = len(_layout(alpha, exps))
     assert (segments == 1) == (family == LIN)
     before = threading.active_count()
     serial, threaded = (frac_walk(alpha, exps, DELTA, geometric=family == GEO2,
@@ -576,7 +631,7 @@ def test_threaded_walk_raises_the_first_of_several_failures(monkeypatch,
             orbit(MON2, ALPHA18, 12, DELTA, threads=threads)
         raised.append((str(info.value), info.value.index))
     assert raised == [raised[0]] * 2 and raised[0][1] == 1
-    segments = hpreal._segments(_exps(MON2, 12), ALPHA18.upper_float())
+    segments = _layout(ALPHA18, _exps(MON2, 12))
     assert len(failures) == 2 + 2 * len(segments)
 
 

@@ -12,6 +12,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -194,23 +195,52 @@ def test_round_alpha_is_the_text_route_without_text():
 
 
 def test_required_precision_frozen_values():
-    assert required_precision(1, 2, Fraction(1, 2**53), 1) == 71
-    assert required_precision(40320, 2, Fraction(1, 2**64), 32) == 40406
-    assert required_precision(10**6, 1.6, Fraction(1, 2**40), 2000) == 678139
+    # (degree, log2 bound of alpha, ceil(log2(1/delta)), roundings)
+    assert required_precision(1, math.log2(2), 53, 1) == 71
+    assert required_precision(40320, math.log2(2), 64, 32) == 40406
+    assert required_precision(10**6, math.log2(1.6), 40, 2000) == 678139
 
 
 def test_required_precision_overflow_reject():
     with pytest.raises(PrecisionOverflow):
-        required_precision(2**62, 4.0, Fraction(1, 2**20), 8)
+        required_precision(2**62, math.log2(4.0), 20, 8)
     # the budget is PREC_BUDGET_BITS = 2^30: 12! at 1.9 fits, 13! does not
-    assert required_precision(math.factorial(12), 1.9, Fraction(1, 2**40), 100) < 2**30
-    with pytest.raises(PrecisionOverflow):
-        required_precision(math.factorial(13), 1.9, Fraction(1, 2**40), 100)
+    lg = math.log2(1.9)
+    assert required_precision(math.factorial(12), lg, 40, 100) < 2**30
+    with pytest.raises(PrecisionOverflow, match=(
+            r"^degree 6227020800 at log2\(alpha\) 0\.925999 needs 5\.76622e\+09 "
+            r"mantissa bits \(budget 1073741824\)$")):
+        required_precision(math.factorial(13), lg, 40, 100)
     with pytest.raises(PrecisionOverflow):  # degree beyond the float range
-        required_precision(2**2000, 1.5, Fraction(1, 2**40), 8)
+        required_precision(2**2000, math.log2(1.5), 40, 8)
     # a degree beyond str()'s 4300 digits is named by its size
     with pytest.raises(PrecisionOverflow, match=r"degree above 2\^20000 "):
-        required_precision(2**20000, 1.5, Fraction(1, 2**40), 8)
+        required_precision(2**20000, math.log2(1.5), 40, 8)
+
+
+def test_log2_bound_is_the_float_bound_below_2_1000():
+    # below 2^1000 the bound is log2 of the float just above alpha, so every
+    # plan of an alpha within the float range is what it was before the
+    # bound held at any size
+    rng = random.Random(24)
+    for _ in range(2000):
+        bits = rng.randrange(130, 1129)  # alpha below 2^(bits - 128)
+        alpha = ExactReal._canon(rng.getrandbits(bits) | 1 << (bits - 1), -128)
+        assert alpha.as_fraction() < 2**1000
+        want = math.log2(math.nextafter(float(alpha), math.inf))
+        assert alpha.log2_upper() == want
+
+
+def test_log2_bound_is_finite_past_the_float_range():
+    # 2^(b-1) <= alpha < 2^b: the bound lies in [b - 1, b] and above log2 of
+    # alpha's leading 60 bits, up to the rounding of a float sum near b
+    for text in ("1" + "0" * 400 + ".5", "1e4000", "3" * 4000):
+        alpha = parse_alpha(text, 128)
+        b = alpha.num.bit_length() + alpha.exp
+        lg = alpha.log2_upper()
+        assert b - 1 <= lg <= b + 1e-9, text
+        head = alpha.num >> (alpha.num.bit_length() - 60)
+        assert lg >= math.log2(head) + b - 60 - 1e-9
 
 
 def test_frac_walk_rejects_bad_input_before_any_multiply(monkeypatch):
@@ -292,7 +322,7 @@ def test_ball_soundness_recompute_at_double_precision():
     # a 2x-precision recomputation must land inside the coarser enclosure
     alpha = parse_alpha("1.8", 128)
     d = 10**4
-    prec = required_precision(d, alpha.upper_float(), Fraction(1, 2**40), 2 * d.bit_length())
+    prec = required_precision(d, alpha.log2_upper(), 40, 2 * d.bit_length())
     coarse = ball_pow(Ball.from_exact(alpha), d, prec)
     fine = ball_pow(Ball.from_exact(alpha), d, 2 * prec)
     mid_gap = abs(_mid(coarse) - _mid(fine))
@@ -304,7 +334,13 @@ def test_ball_soundness_recompute_at_double_precision():
 def test_frac_point_raises_when_radius_exceeds_delta():
     wide = Ball(5, -3, (1, -4))  # 0.625 +- 2^-4
     with pytest.raises(IndeterminateFrac):
-        frac_point(wide, Fraction(1, 2**10))
+        frac_point(wide, _plan_at(Fraction(1, 2**10)))
+
+
+def _plan_at(delta):
+    """The plan of a one-point walk at tolerance delta, which holds
+    frac_point's constants for that delta."""
+    return hpreal._plan(parse_alpha("1.5", 64), [1], Fraction(delta), False)
 
 
 def _checked_frac_point(ball, delta):
@@ -322,25 +358,55 @@ def _checked_frac_point(ball, delta):
     return num, rad
 
 
-def test_frac_point_takes_each_call_its_own_tolerance():
-    # a walk at delta1 leaves frac_point's constants at delta1; later calls
-    # with another delta must use that delta's bound and keep bits
+def test_frac_point_takes_its_tolerance_from_the_plan():
+    # the same ball against plans at two tolerances: each call uses its own
+    # plan's bound and keep bits
     delta1, delta2 = Fraction(1, 2**10), Fraction(1, 2**100)
-    pow_frac(parse_alpha("1.5", 128), 40, delta1)
     mid = Ball((8 << 200) - 1, -200)  # 7 + (1 - 2^-200)
     wide = Ball(mid.man, mid.exp, (1, -50))  # radius between delta2 and delta1
     for delta in (delta1, Fraction(1, 2**10), 2.0**-10, 1e-9):
-        assert frac_point(wide, delta) == _checked_frac_point(wide, delta)
+        got = frac_point(wide, _plan_at(delta))
+        assert got == _checked_frac_point(wide, delta)
     for delta in (delta2, Fraction(1, 2**100), 2.0**-100):
         with pytest.raises(IndeterminateFrac):
-            frac_point(wide, delta)
-        got = frac_point(mid, delta)
+            frac_point(wide, _plan_at(delta))
+        got = frac_point(mid, _plan_at(delta))
         assert got == _checked_frac_point(mid, delta)
         assert got[0] == 2**132 - 1  # 1 - 2^-200 kept to 132 bits
     # a radius right at delta: the float nudge is clamped to delta itself
     for delta in (Fraction(1, 2**30), 2.0**-30):
-        assert frac_point(Ball(1, -40, (1, -30)), delta)[1] == 2.0**-30
-    assert frac_point(mid, delta1)[0] == 2**64 - 1
+        point = frac_point(Ball(1, -40, (1, -30)), _plan_at(delta))
+        assert point[1] == 2.0**-30
+    assert frac_point(mid, _plan_at(delta1))[0] == 2**64 - 1
+
+
+def test_walks_at_two_deltas_on_two_threads_keep_their_own_plans():
+    # no walk constant is shared between walks: two walks at different
+    # tolerances, started together on two threads that switch every
+    # microsecond, each give their serial points over their own 2^keep
+    alpha = parse_alpha("1.5", 128)
+    exps = [n * n for n in range(1, 201)]
+    deltas = (Fraction(1, 2**10), Fraction(1, 2**100))
+    serial = [frac_walk(alpha, exps, delta) for delta in deltas]
+    assert [points.den for points in serial] == [2**64, 2**132]
+    together, got = threading.Barrier(2, timeout=60), [None, None]
+
+    def walk(i):
+        together.wait()
+        got[i] = frac_walk(alpha, exps, deltas[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == serial
 
 
 def test_frac_point_error_is_the_radius_clamped_to_delta():
@@ -358,7 +424,7 @@ def test_frac_point_error_is_the_radius_clamped_to_delta():
             for man in (top, top - 1):
                 ball = Ball(1, -2, (man, e))
                 assert _radius(ball.rad) <= delta
-                err = frac_point(ball, delta)[1]
+                err = frac_point(ball, _plan_at(delta))[1]
                 assert err == _checked_frac_point(ball, delta)[1]
                 clamped += err == float(delta)
     assert clamped >= 100
